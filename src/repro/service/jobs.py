@@ -97,6 +97,8 @@ class Job:
     """One unit of service work and its full lifecycle record."""
 
     kind: str  # "detect" (full run) | "update" (edge-batch warm start)
+    #: The runner's inputs (graph or batch, options); emptied once the job
+    #: is terminal so the registry holds records, not graphs.
     payload: dict[str, Any] = field(default_factory=dict, repr=False)
     priority: int = 10
     #: Wall-clock budget for one attempt; None = unlimited.
@@ -159,7 +161,9 @@ class JobQueue:
     ``capacity`` bounds *waiting* jobs (ready + backing off); RUNNING jobs
     have left the queue.  All submitted jobs stay reachable through
     :meth:`get` until :meth:`forget` or :meth:`close` -- the service's job
-    registry is the queue itself.
+    registry is the queue itself.  Every terminal transition goes through
+    :meth:`_terminate`, which releases the job's payload: a finished job
+    keeps its record and result, not its input graph.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -212,10 +216,10 @@ class JobQueue:
         """
         with self._lock:
             if self._closed:
-                job.state = JobState.CANCELLED
-                job.error = job.error or "queue closed during retry"
-                job.finished_at = time.time()
-                self._terminal.notify_all()
+                self._terminate(
+                    job, JobState.CANCELLED,
+                    error=job.error or "queue closed during retry",
+                )
                 return
             job.state = JobState.PENDING
             self._pending += 1
@@ -238,12 +242,9 @@ class JobQueue:
             if job is None:
                 raise KeyError(f"unknown job {job_id!r}")
             if job.state == JobState.PENDING:
-                job.state = JobState.CANCELLED
-                job.error = "cancelled while queued"
-                job.finished_at = time.time()
                 self._pending -= 1
                 job.cancel_event.set()
-                self._terminal.notify_all()
+                self._terminate(job, JobState.CANCELLED, error="cancelled while queued")
                 return True
             if job.state == JobState.RUNNING:
                 job.cancel_event.set()
@@ -320,14 +321,21 @@ class JobQueue:
         with self._lock:
             if job.done:
                 return False
-            job.state = state
             if result is not None:
                 job.result = result
-            if error is not None:
-                job.error = error
-            job.finished_at = time.time()
-            self._terminal.notify_all()
+            self._terminate(job, state, error=error)
             return True
+
+    def _terminate(self, job: Job, state: str, *, error: str | None) -> None:
+        """Apply a terminal transition and wake long-pollers (lock held)."""
+        job.state = state
+        if error is not None:
+            job.error = error
+        job.finished_at = time.time()
+        # Only the runner reads the payload; dropping it here is what keeps
+        # a long-lived service from holding every finished job's graph.
+        job.payload = {}
+        self._terminal.notify_all()
 
     # -------------------------------------------------------------- #
     # Introspection / shutdown
@@ -383,6 +391,12 @@ class JobQueue:
             self._jobs.pop(job_id, None)
 
     @property
+    def retained_count(self) -> int:
+        """Jobs in the registry, terminal ones included."""
+        with self._lock:
+            return len(self._jobs)
+
+    @property
     def pending_count(self) -> int:
         with self._lock:
             return self._pending
@@ -400,10 +414,11 @@ class JobQueue:
             if cancel_pending:
                 for job in self._jobs.values():
                     if job.state == JobState.PENDING:
-                        job.state = JobState.CANCELLED
-                        job.error = "service shut down before the job ran"
-                        job.finished_at = time.time()
                         job.cancel_event.set()
+                        self._terminate(
+                            job, JobState.CANCELLED,
+                            error="service shut down before the job ran",
+                        )
                 self._pending = 0
                 self._ready.clear()
                 self._delayed.clear()

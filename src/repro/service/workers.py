@@ -12,6 +12,10 @@ threads plus one deadline monitor:
   on a service-wide lock so concurrent batches chain deterministically
   instead of racing for the same base.
 
+Both kinds run the vector CSR data plane by default (``backend="vector"``):
+it follows the hash reference's trajectory bitwise and is several times
+faster.  A job's options may still name ``backend="hash"``.
+
 Every job runs under its own :class:`~repro.observability.Tracer` whose sink
 (:class:`_JobTraceSink`) does two things per event: tag it with the job id
 and forward it into the service-wide streaming sink (the rotating JSONL file
@@ -357,7 +361,8 @@ class DetectionService:
 
         ``detect_options`` pass through to
         :func:`~repro.parallel.detect_communities` (``algorithm``,
-        ``num_ranks``, ``seed``, schedule overrides, ...).  Raises
+        ``num_ranks``, ``seed``, ``backend`` (default ``"vector"``),
+        schedule overrides, ...).  Raises
         :class:`~repro.service.jobs.QueueFullError` under backpressure.
         """
         job = Job(
@@ -421,9 +426,10 @@ class DetectionService:
             **job.payload["options"],
         }
         if options.get("algorithm") == "parallel":
-            # The service-wide execution mode applies unless the job chose
-            # its own; the driver picks the vector backend under "process".
+            # The service-wide execution mode and the vector data plane
+            # apply unless the job chose its own.
             options.setdefault("execution", self.execution)
+            options.setdefault("backend", "vector")
         graph = job.payload["graph"]
         summary = detect_communities(graph, tracer=ctx.tracer, **options)
         snap = self.store.put(
@@ -453,10 +459,11 @@ class DetectionService:
                     # No snapshot yet -- likely racing the first detect job.
                     raise TransientJobError(str(exc)) from exc
                 raise  # a named version that is gone will stay gone
-            options = dict(job.payload["options"])
-            options.setdefault("execution", self.execution)
-            if options["execution"] == "process":
-                options.setdefault("backend", "vector")
+            options = {
+                "execution": self.execution,
+                "backend": "vector",
+                **job.payload["options"],
+            }
             config = ParallelLouvainConfig(
                 num_ranks=options.pop("num_ranks", self.num_ranks), **options
             )
@@ -542,6 +549,7 @@ class DetectionService:
             "service_queue_capacity": float(self.queue.capacity),
             "service_jobs_running": float(len(self.pool.running_jobs)),
             "service_snapshots_retained": float(len(self.store)),
+            "service_jobs_retained": float(self.queue.retained_count),
             "service_uptime_seconds": time.time() - self._started_at,
         }
         latest = self.store.latest_version()

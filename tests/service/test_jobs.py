@@ -180,3 +180,56 @@ class TestJobQueue:
         q.close()
         t.join(timeout=5)
         assert results == [None]
+
+
+class TestPayloadRelease:
+    """Terminal jobs keep their record but drop the runner's inputs."""
+
+    def payload_job(self, q):
+        return q.submit(make_job(payload={"graph": object(), "options": {}}))
+
+    def test_finalize_drops_payload_keeps_result(self):
+        q = JobQueue(capacity=2)
+        self.payload_job(q)
+        job = q.claim(timeout=0)
+        assert q.finalize(job, JobState.DONE, result={"version": 1})
+        assert job.payload == {}
+        assert q.get(job.job_id).as_dict()["result"] == {"version": 1}
+
+    def test_cancel_pending_drops_payload(self):
+        q = JobQueue(capacity=2)
+        job = self.payload_job(q)
+        q.cancel(job.job_id)
+        assert job.state == JobState.CANCELLED and job.payload == {}
+
+    def test_close_drops_pending_payloads(self):
+        q = JobQueue(capacity=2)
+        job = self.payload_job(q)
+        q.close()
+        assert job.state == JobState.CANCELLED and job.payload == {}
+
+    def test_retry_keeps_payload_until_terminal(self):
+        q = JobQueue(capacity=2)
+        self.payload_job(q)
+        job = q.claim(timeout=0)
+        q.requeue(job)
+        assert job.state == JobState.PENDING and "graph" in job.payload
+        assert q.claim(timeout=0) is job and "graph" in job.payload
+        q.finalize(job, JobState.FAILED, error="boom")
+        assert job.payload == {}
+
+    def test_retry_after_close_drops_payload(self):
+        q = JobQueue(capacity=2)
+        self.payload_job(q)
+        job = q.claim(timeout=0)
+        q.close()
+        q.requeue(job)
+        assert job.state == JobState.CANCELLED and job.payload == {}
+
+    def test_retained_count_includes_terminal_jobs(self):
+        q = JobQueue(capacity=2)
+        job = self.payload_job(q)
+        q.cancel(job.job_id)
+        assert q.retained_count == 1
+        q.forget(job.job_id)
+        assert q.retained_count == 0

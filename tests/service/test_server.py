@@ -1,6 +1,8 @@
 """HTTP-level tests: routes, backpressure 503s, liveness under load."""
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -100,6 +102,61 @@ class TestRoutes:
         status, text, _ = _request(server.address, "GET", "/metrics")
         assert status == 200
         assert "repro_service_queue_capacity 4" in text
+        assert "repro_service_jobs_retained 0" in text
+
+    def test_finished_job_keeps_record_not_payload(self, server, edges):
+        base = server.address
+        _, doc, _ = _request(base, "POST", "/graph", {"edges": edges})
+        done = _poll_done(base, doc["job_id"])
+        assert done["state"] == "done"
+        status, again, _ = _request(base, "GET", f"/jobs/{doc['job_id']}")
+        assert status == 200 and again["result"] == done["result"]
+        assert server.service.job(doc["job_id"]).payload == {}
+        _, text, _ = _request(base, "GET", "/metrics")
+        assert "repro_service_jobs_retained 1" in text
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_400(self, server, length):
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.putrequest("POST", "/graph")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            doc = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert "Content-Length" in doc["error"]
+        assert resp.getheader("Connection") == "close"
+        assert _request(server.address, "GET", "/healthz")[0] == 200
+
+    def test_keepalive_responses_do_not_stall(self, server):
+        """Sequential requests on one connection beat the delayed-ACK floor.
+
+        A response written as head + body with Nagle on waits for the
+        client's delayed ACK of the head: ~40 ms per request.
+        """
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        took = []
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            sock = conn.sock
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                took.append(time.perf_counter() - t0)
+                assert resp.status == 200
+            assert conn.sock is sock  # one keep-alive connection throughout
+        finally:
+            conn.close()
+        assert statistics.median(took) < 0.015
 
     def test_unknown_routes_404(self, server):
         assert _request(server.address, "GET", "/nope")[0] == 404

@@ -191,8 +191,10 @@ class TestRetries:
 
     def test_transient_then_success(self):
         state = {"failures": 1}
+        seen = []
 
         def runner(job, ctx):
+            seen.append(job.payload["graph"])  # a retry still has its input
             if state["failures"] > 0:
                 state["failures"] -= 1
                 raise TransientJobError("transient hiccup")
@@ -205,6 +207,8 @@ class TestRetries:
             job = svc.wait(job.job_id, timeout=10)
             assert job.state == JobState.DONE
             assert job.attempts == 2
+            assert len(seen) == 2 and all(x is g for x in seen)
+            assert job.payload == {}  # released once terminal
         finally:
             svc.close()
 
