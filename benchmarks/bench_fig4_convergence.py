@@ -4,83 +4,33 @@ Compares modularity per outer-loop level (4a) and the evolution ratio (4b)
 for the sequential algorithm, the parallel algorithm with the convergence
 heuristic, and the naive parallel algorithm without it.
 
-Ported onto the declarative benchmark matrix in
-``benchmarks/matrices/fig4_convergence.toml``: the (graph x variant) sweep
-is declared there and this wrapper runs it with ``keep_raw=True``, then
-projects the per-level modularity and evolution-ratio curves from each
-cell's raw result.  The same sweep is reproducible from the CLI::
-
-    repro bench run benchmarks/matrices/fig4_convergence.toml
+The (graph x variant) sweep is declared in
+``benchmarks/matrices/fig4_convergence.toml``; this wrapper runs it with
+``keep_raw=True`` and projects the rows with
+:func:`repro.harness.fig4_rows`.  ``repro experiment fig4`` prints the same
+projection.
 """
 
 import os
 
-import numpy as np
 from conftest import once
 
 from repro.bench import load_config, run_matrix
-from repro.harness import format_table
-from repro.harness.experiments import Fig4Row
-from repro.metrics import evolution_ratio
+from repro.harness import fig4_rows, format_fig4
 
 MATRIX_DIR = os.path.join(os.path.dirname(__file__), "matrices")
-GRAPHS = ["Amazon", "DBLP", "ND-Web", "YouTube", "LiveJournal", "Wikipedia", "UK-2005"]
 
 
-def _level_sizes(result) -> list[int]:
-    return [
-        int(np.unique(result.membership_at_level(i)).size)
-        for i in range(result.num_levels)
-    ]
-
-
-def _run_rows() -> list[Fig4Row]:
+def _run_rows():
     config = load_config(os.path.join(MATRIX_DIR, "fig4_convergence.toml"))
-    matrix = run_matrix(config, keep_raw=True)
-    raws = {
-        (c.cell.factors["graph"], c.cell.factors["variant"]): c.timed[0].raw
-        for c in matrix.cells
-    }
-    rows = []
-    for graph in GRAPHS:
-        seq = raws[(graph, "sequential")]
-        par = raws[(graph, "parallel")]
-        naive = raws[(graph, "naive")]
-        n0 = int(par.membership.size)
-        seq_sizes = _level_sizes(seq)
-        par_sizes = _level_sizes(par)
-        rows.append(
-            Fig4Row(
-                graph=graph,
-                sequential_q=list(seq.modularities),
-                parallel_q=list(par.modularities),
-                naive_q=list(naive.modularities),
-                sequential_evolution=[evolution_ratio(s, n0) for s in seq_sizes],
-                parallel_evolution=[evolution_ratio(s, n0) for s in par_sizes],
-                first_level_merge_fraction=(
-                    1.0 - (par_sizes[0] / n0 if par_sizes else 1.0)
-                ),
-            )
-        )
-    return rows
+    return fig4_rows(run_matrix(config, keep_raw=True))
 
 
 def test_fig4_convergence_and_quality(benchmark):
     rows = once(benchmark, _run_rows)
 
     print()
-    fmt = lambda xs: " ".join(f"{x:.3f}" for x in xs)  # noqa: E731
-    print(
-        format_table(
-            ["Graph", "Seq Q/level", "Par Q/level", "Naive Q/level", "Par evol. ratio", "1st-iter merge"],
-            [
-                [r.graph, fmt(r.sequential_q), fmt(r.parallel_q), fmt(r.naive_q),
-                 fmt(r.parallel_evolution), f"{r.first_level_merge_fraction:.1%}"]
-                for r in rows
-            ],
-            title="Fig. 4: modularity per outer loop (a) and evolution ratio (b)",
-        )
-    )
+    print(format_fig4(rows))
 
     for r in rows:
         # (a) parallel with heuristic is on par with sequential...

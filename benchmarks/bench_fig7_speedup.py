@@ -5,12 +5,10 @@ speedup from 1 to 64 nodes, all relative to the modeled single-threaded
 sequential implementation, with per-rank work extrapolated to the real
 dataset sizes.
 
-Ported onto the declarative benchmark matrices in ``benchmarks/matrices/``
-(fig7a_threads.toml, fig7bc_nodes.toml): this wrapper only runs the matrix
-and projects speedup curves out of the summary cells, so the same sweeps
-are reproducible from the CLI::
-
-    repro bench run benchmarks/matrices/fig7a_threads.toml
+The sweeps are declared in ``benchmarks/matrices/`` (fig7a_threads.toml,
+fig7bc_nodes.toml); this wrapper runs them and projects the speedup curves
+with :func:`repro.harness.fig7_speedup_curves`.  ``repro experiment fig7``
+prints the same projection.
 """
 
 import os
@@ -18,58 +16,32 @@ import os
 from conftest import once
 
 from repro.bench import build_summary, load_config, run_matrix
-from repro.harness import format_series
+from repro.harness import fig7_speedup_curves, format_fig7
 
 MATRIX_DIR = os.path.join(os.path.dirname(__file__), "matrices")
-GRAPHS = ["LiveJournal", "Wikipedia", "UK-2005", "Twitter"]
 
 
-def _run_summary(matrix: str) -> dict:
+def _run_curves(matrix: str, axis: str) -> dict:
     config = load_config(os.path.join(MATRIX_DIR, matrix))
-    return build_summary(run_matrix(config))
-
-
-def _speedup_curve(summary: dict, graph: str, axis: str, base_cell: str):
-    """(x values, speedups) for one graph, vs the base cell's sequential
-    reference seconds."""
-    base = summary["cells"][base_cell]["metrics"]["seq_reference_s"]["median"]
-    xs, speedups = [], []
-    for cell in summary["cells"].values():
-        if cell["factors"]["graph"] != graph:
-            continue
-        xs.append(int(cell["factors"][axis]))
-        speedups.append(base / cell["metrics"]["modeled_s"]["median"])
-    order = sorted(range(len(xs)), key=xs.__getitem__)
-    return [xs[i] for i in order], [speedups[i] for i in order]
+    return fig7_speedup_curves(build_summary(run_matrix(config)), axis)
 
 
 def test_fig7a_thread_speedup(benchmark):
-    summary = once(benchmark, _run_summary, "fig7a_threads.toml")
+    curves = once(benchmark, _run_curves, "fig7a_threads.toml", "threads")
 
     print()
-    print("Fig. 7a: thread speedup on one P7-IH node (vs 1-thread sequential)")
-    for graph in GRAPHS:
-        x, speedup = _speedup_curve(
-            summary, graph, "threads", f"graph={graph},threads=2"
-        )
-        print("  " + format_series(graph, x, speedup, fmt="{:.1f}"))
+    print(format_fig7(threads=curves))
 
+    for graph, (x, speedup) in curves.items():
         assert speedup == sorted(speedup), graph  # monotone
         assert 4 < speedup[-1] < 32, graph  # substantial but sublinear
 
 
 def test_fig7bc_node_speedup(benchmark):
-    summary = once(benchmark, _run_summary, "fig7bc_nodes.toml")
+    curves = once(benchmark, _run_curves, "fig7bc_nodes.toml", "nodes")
 
     print()
-    print("Fig. 7b/c: node speedup, 32 threads/node (vs 1-thread sequential)")
-    curves = {}
-    for graph in GRAPHS:
-        x, speedup = _speedup_curve(
-            summary, graph, "nodes", f"graph={graph},nodes=1"
-        )
-        curves[graph] = (x, speedup)
-        print("  " + format_series(graph, x, speedup, fmt="{:.1f}"))
+    print(format_fig7(nodes=curves))
 
     for graph, (x, speedup) in curves.items():
         # every graph gains from distribution at moderate node counts

@@ -5,15 +5,10 @@
 COMMUNITY / UPDATE COMMUNITY INFORMATION / STATE PROPAGATION -- modeled on
 the P7-IH machine at several node counts.
 
-Ported onto the declarative benchmark matrix in
-``benchmarks/matrices/fig8_breakdown.toml``: the node sweep is declared
-there and this wrapper runs it with ``keep_raw=True``, then projects the
-per-level / per-iteration modeled breakdowns from each cell's raw result
-(:func:`repro.harness.fig8_level_breakdown` /
-:func:`repro.harness.fig8_iteration_breakdown`).  The same sweep is
-reproducible from the CLI::
-
-    repro bench run benchmarks/matrices/fig8_breakdown.toml
+The node sweep is declared in ``benchmarks/matrices/fig8_breakdown.toml``;
+this wrapper runs it with ``keep_raw=True`` and projects the modeled
+breakdowns with :func:`repro.harness.fig8_breakdowns`.
+``repro experiment fig8`` prints the same projection.
 """
 
 import os
@@ -21,47 +16,22 @@ import os
 from conftest import once
 
 from repro.bench import load_config, run_matrix
-from repro.harness import fig8_iteration_breakdown, fig8_level_breakdown
+from repro.harness import fig8_breakdowns, format_fig8
 
 MATRIX_DIR = os.path.join(os.path.dirname(__file__), "matrices")
 
 
 def _run_breakdowns():
     config = load_config(os.path.join(MATRIX_DIR, "fig8_breakdown.toml"))
-    matrix = run_matrix(config, keep_raw=True)
-    node_counts, outer, inner, mods = [], [], [], []
-    for cell_result in sorted(
-        matrix.cells, key=lambda c: int(c.cell.params["nodes"])
-    ):
-        rep = cell_result.timed[0]
-        nodes = int(cell_result.cell.params["nodes"])
-        ws = rep.work_scale if rep.work_scale is not None else 1.0
-        node_counts.append(nodes)
-        outer.append(fig8_level_breakdown(rep.raw, nodes=nodes, work_scale=ws))
-        inner.append(
-            fig8_iteration_breakdown(rep.raw, nodes=nodes, work_scale=ws)
-        )
-        mods.append(rep.modularity)
-    return node_counts, outer, inner, mods
+    return fig8_breakdowns(run_matrix(config, keep_raw=True))
 
 
 def test_fig8_time_breakdown(benchmark):
-    node_counts, outer_breakdown, inner_breakdown, modularities = once(
-        benchmark, _run_breakdowns
-    )
+    breakdowns = once(benchmark, _run_breakdowns)
+    node_counts, outer_breakdown, inner_breakdown, modularities = breakdowns
 
     print()
-    print("Fig. 8a: outer-loop breakdown (modeled seconds, UK-2007 proxy)")
-    for nodes, levels in zip(node_counts, outer_breakdown):
-        print(f"  {nodes} nodes:")
-        for i, phases in enumerate(levels):
-            row = "  ".join(f"{k}={v:.3f}s" for k, v in sorted(phases.items()))
-            print(f"    level {i}: {row}")
-    print("Fig. 8b: inner-loop breakdown, first outer loop (128 nodes)")
-    for i, phases in enumerate(inner_breakdown[-1][:8]):
-        row = "  ".join(f"{k}={v:.4f}s" for k, v in sorted(phases.items()))
-        print(f"    iter {i + 1}: {row}")
-    print(f"  modularity per node count: {[round(q, 3) for q in modularities]}")
+    print(format_fig8(breakdowns))
 
     for nodes, levels in zip(node_counts, outer_breakdown):
         refine = sum(lv.get("REFINE", 0.0) for lv in levels)

@@ -6,10 +6,11 @@ P7-IH; (c) strong scaling of R-MAT.  TEPS = input edges / modeled time of
 the first level, with per-rank work extrapolated to the paper's per-node
 workloads (R-MAT 2^24 edges/node, BTER 2^26 edges/node).
 
-Ported onto the declarative benchmark matrices (fig9a_weak.toml,
-fig9bc_strong.toml): the matrices declare graph sizes, machines and
-extrapolation targets; this wrapper projects the GTEPS curves out of the
-summary and keeps the paper's qualitative claims as assertions.
+The matrices (fig9a_weak.toml, fig9bc_strong.toml) declare graph sizes,
+machines and extrapolation targets; :func:`repro.harness.fig9_weak_curves`
+and :func:`repro.harness.fig9_strong_curves` project the GTEPS curves and
+this wrapper keeps the paper's qualitative claims as assertions.
+``repro experiment fig9`` prints the same projection.
 """
 
 import os
@@ -17,58 +18,25 @@ import os
 from conftest import once
 
 from repro.bench import build_summary, load_config, run_matrix
-from repro.harness import format_series
+from repro.harness import fig9_strong_curves, fig9_weak_curves, format_fig9
 
 MATRIX_DIR = os.path.join(os.path.dirname(__file__), "matrices")
 
 
-def _run_summary(matrix: str) -> dict:
+def _run_summary(matrix: str, points: list[str] | None = None) -> dict:
     config = load_config(os.path.join(MATRIX_DIR, matrix))
+    if points is not None:
+        config.factors["point"] = [
+            p for p in config.factors["point"] if p["_name"] in points
+        ]
     return build_summary(run_matrix(config))
 
 
-def _weak_curve(summary: dict, prefix: str):
-    """(nodes, gteps, modularity) for one fig9a curve (point=<prefix>/n<N>)."""
-    points = []
-    for cell_id, cell in summary["cells"].items():
-        curve, _, node_tag = cell["factors"]["point"].partition("/")
-        if curve != prefix:
-            continue
-        points.append((
-            int(node_tag.lstrip("n")),
-            cell["metrics"]["gteps"]["median"],
-            cell["metrics"]["modularity"]["median"],
-        ))
-    points.sort()
-    return (
-        [p[0] for p in points], [p[1] for p in points], [p[2] for p in points]
-    )
-
-
-def _strong_curve(summary: dict, workload: str):
-    points = sorted(
-        (int(cell["factors"]["nodes"]), cell["metrics"]["gteps"]["median"])
-        for cell in summary["cells"].values()
-        if cell["factors"]["workload"] == workload
-    )
-    return [p[0] for p in points], [p[1] for p in points]
-
-
 def test_fig9a_weak_scaling(benchmark):
-    summary = once(benchmark, _run_summary, "fig9a_weak.toml")
+    curves = fig9_weak_curves(once(benchmark, _run_summary, "fig9a_weak.toml"))
 
     print()
-    print("Fig. 9a: weak scaling")
-    curves = {name: _weak_curve(summary, name)
-              for name in ("rmat", "bter-lo", "bter-hi")}
-    for name, (nodes, gteps, _mods) in curves.items():
-        print("  " + format_series(f"{name} GTEPS", nodes, gteps, fmt="{:.4f}"))
-    bter_lo_mod = curves["bter-lo"][2][-1]
-    bter_hi_mod = curves["bter-hi"][2][-1]
-    print(
-        f"  BTER modularity: GCC~0.15 -> {bter_lo_mod:.3f}, "
-        f"GCC~0.55 -> {bter_hi_mod:.3f} (paper: 0.693 and 0.926)"
-    )
+    print(format_fig9(weak=curves))
 
     for name, (nodes, gteps, _mods) in curves.items():
         # processing rate grows with node count...
@@ -78,33 +46,31 @@ def test_fig9a_weak_scaling(benchmark):
         assert growth > 1 / 3, name
 
     # Paper: higher GCC -> higher modularity and slightly faster processing.
+    bter_lo_mod = curves["bter-lo"][2][-1]
+    bter_hi_mod = curves["bter-hi"][2][-1]
     assert bter_hi_mod > bter_lo_mod + 0.1
     assert curves["bter-hi"][1][-1] > 0.5 * curves["bter-lo"][1][-1]
 
 
 def test_fig9bc_strong_scaling(benchmark):
-    summary = once(benchmark, _run_summary, "fig9bc_strong.toml")
+    curves = fig9_strong_curves(
+        once(benchmark, _run_summary, "fig9bc_strong.toml")
+    )
 
     print()
-    print("Fig. 9b: strong scaling, UK-2007 (3.78G edges extrapolated)")
-    uk_nodes, uk = _strong_curve(summary, "uk2007")
-    print("  " + format_series("UK-2007 GTEPS", uk_nodes, uk, fmt="{:.4f}"))
+    print(format_fig9(strong=curves))
 
+    # (b) UK-2007
+    uk_nodes, uk = curves["uk2007"]
     assert all(a < b for a, b in zip(uk, uk[1:]))  # monotone speedup
     # sublinear: doubling nodes never doubles the rate at the top end
     assert uk[-1] / uk[-2] < 2.0
 
-    print("Fig. 9c: strong scaling, R-MAT (scale-30 workload extrapolated)")
-    rm_nodes, rm = _strong_curve(summary, "rmat15")
-    print("  " + format_series("R-MAT GTEPS", rm_nodes, rm, fmt="{:.4f}"))
-
+    # (c) R-MAT
+    rm_nodes, rm = curves["rmat15"]
     assert all(a < b for a, b in zip(rm, rm[1:]))
     # Paper: strong-scaled R-MAT rate is below the weak-scaled rate at the
-    # same node count ("the problem scale is not big enough").
-    from repro.harness import run_fig9_weak
-    from repro.runtime import BGQ
-
-    weak = run_fig9_weak(
-        node_counts=[32], vertices_per_node=1024, machine=BGQ, generator="rmat"
-    )
-    assert rm[-1] < weak.points[0].gteps * 1.5
+    # same node count ("the problem scale is not big enough").  The weak
+    # point is fig9a's rmat/n32: the same scale-15 graph on 32 BG/Q nodes.
+    weak = fig9_weak_curves(_run_summary("fig9a_weak.toml", ["rmat/n32"]))
+    assert rm[-1] < weak["rmat"][1][0] * 1.5

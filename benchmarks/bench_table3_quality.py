@@ -3,9 +3,9 @@
 NMI / F-measure / NVD / RI / ARI / JI between the sequential and parallel
 partitions on Amazon, ND-Web and LFR(mu=0.4 / 0.5), at full proxy scale.
 
-Ported onto the declarative benchmark matrix (table3_quality.toml): the
-matrix runs both variants per graph with ``keep_membership=True``; this
-wrapper pairs the partitions and computes the similarity report.
+The matrix (table3_quality.toml) runs both variants per graph with
+``keep_membership=True``; :func:`repro.harness.table3_reports` pairs the
+partitions.  ``repro experiment table3`` prints the same projection.
 """
 
 import os
@@ -13,53 +13,21 @@ import os
 from conftest import once
 
 from repro.bench import load_config, run_matrix
-from repro.harness import format_table
-from repro.metrics import compare_partitions
+from repro.harness import format_table3, table3_reports
 
 MATRIX_DIR = os.path.join(os.path.dirname(__file__), "matrices")
-
-#: Matrix graph names -> the paper's Table III row labels.
-ROW_LABELS = {
-    "Amazon": "Amazon",
-    "ND-Web": "ND-Web",
-    "lfr-mu04": "LFR(mu=0.4)",
-    "lfr-mu05": "LFR(mu=0.5)",
-}
 
 
 def _run_reports() -> dict:
     config = load_config(os.path.join(MATRIX_DIR, "table3_quality.toml"))
-    result = run_matrix(config, keep_membership=True)
-    memberships: dict[tuple[str, str], object] = {}
-    for cell_result in result.cells:
-        factors = cell_result.cell.factors
-        memberships[(factors["graph"], factors["variant"])] = (
-            cell_result.timed[0].membership
-        )
-    return {
-        ROW_LABELS[graph]: compare_partitions(
-            memberships[(graph, "sequential")], memberships[(graph, "parallel")]
-        )
-        for graph in ROW_LABELS
-    }
+    return table3_reports(run_matrix(config, keep_membership=True))
 
 
 def test_table3_partition_similarity(benchmark):
     by_name = once(benchmark, _run_reports)
 
     print()
-    print(
-        format_table(
-            ["Graphs", "NMI", "F-measure", "NVD", "RI", "ARI", "JI"],
-            [
-                [name, rep.nmi, rep.f_measure, rep.nvd, rep.rand_index,
-                 rep.adjusted_rand_index, rep.jaccard_index]
-                for name, rep in by_name.items()
-            ],
-            title="Table III: parallel-vs-sequential partition similarity",
-            float_fmt="{:.4f}",
-        )
-    )
+    print(format_table3(by_name))
 
     # Paper shape: NVD close to 0 and the rest close to 1, strongest on the
     # structured graphs.  Proxy scale loosens the absolute numbers (see

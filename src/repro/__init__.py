@@ -13,7 +13,9 @@ Public API highlights
 * :mod:`repro.sequential` -- the Algorithm-1 baseline.
 * :mod:`repro.metrics` -- modularity and all Table II/III quality metrics.
 * :mod:`repro.runtime` -- the simulated SPMD runtime and machine models.
-* :mod:`repro.harness` -- one experiment runner per paper table/figure.
+* :mod:`repro.harness` -- paper table/figure runners, plus projections of
+  the ``benchmarks/matrices/`` runs for Figs. 4/7/8/9 and Table III.
+* :mod:`repro.bench` -- declarative benchmark matrices (``repro bench``).
 * :mod:`repro.analysis` -- SPMD superstep-safety linter (``repro check``)
   and the opt-in runtime invariant sanitizer.
 * :mod:`repro.service` -- long-lived detection service (job queue, worker

@@ -11,7 +11,8 @@ a compact ``BENCH_<label>.json`` -- feed ``repro bench report`` (markdown)
 and ``repro bench compare`` (:mod:`repro.bench.compare`, the CI perf gate).
 
 See ``benchmarks/matrices/`` for the checked-in matrices reproducing the
-paper's Figs. 7 and 9 and Table III.
+paper's Figs. 4, 7, 8 and 9 and Table III (projected by
+:mod:`repro.harness`).
 """
 
 from .compare import (

@@ -1,13 +1,20 @@
-"""Experiment runners: one function per paper table/figure (see DESIGN.md §4).
+"""Paper tables/figures: runners, matrix projections and formatters (DESIGN.md §4).
 
-Each runner returns structured results; the benchmark files under
-``benchmarks/`` call these, print the paper-shaped rows/series, and assert
-the qualitative claims (who wins, by roughly what factor).
+Table I, Fig. 2, Fig. 5, Fig. 6 and Table IV each have a runner here that
+returns structured results.  Fig. 4, Table III, Fig. 7, Fig. 8 and Fig. 9
+come from the checked-in matrices under ``benchmarks/matrices/`` run through
+:func:`repro.bench.run_matrix`; this module projects those matrix results
+(or their :func:`~repro.bench.build_summary` documents) into the paper's
+rows/curves and formats them as text.  The benchmark files under
+``benchmarks/`` and ``repro experiment`` print the same projections; the
+benchmarks also assert the qualitative claims (who wins, by roughly what
+factor).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -29,33 +36,59 @@ from ..metrics import (
     evolution_ratio,
     log_binned_size_distribution,
 )
-from ..parallel import (
-    ModuloPartition,
-    fit_schedule,
-    naive_parallel_louvain,
-    parallel_louvain,
-)
-from ..runtime import BGQ, P7IH, MachineModel, model_phase_time, total_time
+from ..parallel import ModuloPartition, fit_schedule, parallel_louvain
+from ..runtime import P7IH, MachineModel, model_phase_time, total_time
 from ..sequential import louvain as sequential_louvain
-from .teps import first_level_seconds, gteps
+from .tables import format_series, format_table
+
+if TYPE_CHECKING:
+    from ..bench import MatrixResult
 
 __all__ = [
     "run_table1",
     "run_fig2",
-    "run_fig4",
+    "Fig4Row",
+    "fig4_rows",
+    "format_fig4",
     "run_fig5",
-    "run_table3",
+    "table3_reports",
+    "format_table3",
     "run_fig6",
-    "run_fig7_threads",
-    "run_fig7_nodes",
-    "run_fig8",
+    "fig7_speedup_curves",
+    "format_fig7",
+    "fig8_level_breakdown",
+    "fig8_iteration_breakdown",
+    "fig8_breakdowns",
+    "format_fig8",
     "run_table4",
-    "run_fig9_weak",
-    "run_fig9_strong",
+    "fig9_weak_curves",
+    "fig9_strong_curves",
+    "format_fig9",
     "UK2007_LITERATURE",
     "paper_work_scale",
     "sequential_reference_seconds",
 ]
+
+#: Per-graph curve: x values (threads or nodes) and the matching y values.
+Curve = tuple[list[int], list[float]]
+
+
+def _raw_by_factors(matrix: MatrixResult, attr: str) -> dict[tuple[str, str], Any]:
+    """``(graph, variant)`` -> the first timed repetition's ``attr``."""
+    return {
+        (c.cell.factors["graph"], c.cell.factors["variant"]): getattr(
+            c.timed[0], attr
+        )
+        for c in matrix.cells
+    }
+
+
+def _curves(points: dict[str, list[tuple]]) -> dict[str, tuple[list, ...]]:
+    """Sort each curve's point tuples and transpose them into columns."""
+    return {
+        name: tuple(list(col) for col in zip(*sorted(pts)))
+        for name, pts in points.items()
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -193,49 +226,55 @@ class Fig4Row:
     first_level_merge_fraction: float  # parallel, level 0
 
 
-def run_fig4(
-    graphs: list[str] | None = None,
-    *,
-    num_ranks: int = 8,
-    seed: int = 0,
-    scale: float = 0.5,
-    naive_max_inner: int = 12,
-) -> list[Fig4Row]:
-    graphs = graphs or ["Amazon", "DBLP", "ND-Web", "YouTube", "LiveJournal", "Wikipedia", "UK-2005"]
-    rows: list[Fig4Row] = []
-    for name in graphs:
-        g = load_social_graph(name, seed=seed, scale=scale).graph
-        n0 = g.num_vertices
-        seq = sequential_louvain(g, seed=seed)
-        par = parallel_louvain(g, num_ranks=num_ranks)
-        naive = naive_parallel_louvain(
-            g, num_ranks=num_ranks, max_inner=naive_max_inner, max_levels=6
-        )
-        seq_sizes = [n0] + [
-            int(np.unique(seq.membership_at_level(i)).size)
-            for i in range(seq.num_levels)
-        ]
-        par_sizes = [n0] + [
-            int(np.unique(par.membership_at_level(i)).size)
-            for i in range(par.num_levels)
-        ]
-        merge_frac = 1.0 - (par_sizes[1] / n0 if len(par_sizes) > 1 else 1.0)
+def _level_sizes(result) -> list[int]:
+    return [
+        int(np.unique(result.membership_at_level(i)).size)
+        for i in range(result.num_levels)
+    ]
+
+
+def fig4_rows(matrix: MatrixResult) -> list[Fig4Row]:
+    """Fig. 4 projection of a ``keep_raw=True`` (graph x variant) matrix run.
+
+    Every graph needs ``sequential``, ``parallel`` and ``naive`` cells; rows
+    follow the matrix's graph order.
+    """
+    raws = _raw_by_factors(matrix, "raw")
+    rows = []
+    for graph in dict.fromkeys(g for g, _ in raws):
+        seq = raws[(graph, "sequential")]
+        par = raws[(graph, "parallel")]
+        naive = raws[(graph, "naive")]
+        n0 = int(par.membership.size)
+        seq_sizes = _level_sizes(seq)
+        par_sizes = _level_sizes(par)
         rows.append(
             Fig4Row(
-                graph=name,
+                graph=graph,
                 sequential_q=list(seq.modularities),
                 parallel_q=list(par.modularities),
                 naive_q=list(naive.modularities),
-                sequential_evolution=[
-                    evolution_ratio(s, n0) for s in seq_sizes[1:]
-                ],
-                parallel_evolution=[
-                    evolution_ratio(s, n0) for s in par_sizes[1:]
-                ],
-                first_level_merge_fraction=merge_frac,
+                sequential_evolution=[evolution_ratio(s, n0) for s in seq_sizes],
+                parallel_evolution=[evolution_ratio(s, n0) for s in par_sizes],
+                first_level_merge_fraction=(
+                    1.0 - (par_sizes[0] / n0 if par_sizes else 1.0)
+                ),
             )
         )
     return rows
+
+
+def format_fig4(rows: list[Fig4Row]) -> str:
+    fmt = lambda xs: " ".join(f"{x:.3f}" for x in xs)  # noqa: E731
+    return format_table(
+        ["Graph", "Seq Q/level", "Par Q/level", "Naive Q/level", "Par evol. ratio", "1st-iter merge"],
+        [
+            [r.graph, fmt(r.sequential_q), fmt(r.parallel_q), fmt(r.naive_q),
+             fmt(r.parallel_evolution), f"{r.first_level_merge_fraction:.1%}"]
+            for r in rows
+        ],
+        title="Fig. 4: modularity per outer loop (a) and evolution ratio (b)",
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -284,40 +323,33 @@ def run_fig5(
 # Table III -- similarity of parallel vs sequential partitions
 # --------------------------------------------------------------------- #
 
-
-@dataclass
-class Table3Row:
-    graph: str
-    report: SimilarityReport
+#: The paper's row labels for the matrix's LFR graph names (other graphs
+#: keep their matrix name).
+_TABLE3_LABELS = {"lfr-mu04": "LFR(mu=0.4)", "lfr-mu05": "LFR(mu=0.5)"}
 
 
-def run_table3(
-    *, num_ranks: int = 8, seed: int = 0, scale: float = 1.0
-) -> list[Table3Row]:
-    rows: list[Table3Row] = []
-    cases: list[tuple[str, object]] = [
-        ("Amazon", None),
-        ("ND-Web", None),
-        ("LFR(mu=0.4)", 0.4),
-        ("LFR(mu=0.5)", 0.5),
-    ]
-    for name, mu in cases:
-        if mu is None:
-            g = load_social_graph(name, seed=seed, scale=scale).graph
-        else:
-            g = generate_lfr(
-                LFRParams(
-                    num_vertices=int(2000 * scale),
-                    avg_degree=16,
-                    max_degree=64,
-                    mixing=float(mu),
-                ),
-                seed=seed,
-            ).graph
-        seq = sequential_louvain(g, seed=seed)
-        par = parallel_louvain(g, num_ranks=num_ranks)
-        rows.append(Table3Row(graph=name, report=compare_partitions(seq.membership, par.membership)))
-    return rows
+def table3_reports(matrix: MatrixResult) -> dict[str, SimilarityReport]:
+    """Table III projection of a ``keep_membership=True`` (graph x variant) run.
+
+    One sequential-vs-parallel similarity report per graph, keyed by its
+    paper row label, in the matrix's graph order.
+    """
+    members = _raw_by_factors(matrix, "membership")
+    return {
+        _TABLE3_LABELS.get(graph, graph): compare_partitions(
+            members[(graph, "sequential")], members[(graph, "parallel")]
+        )
+        for graph in dict.fromkeys(g for g, _ in members)
+    }
+
+
+def format_table3(reports: dict[str, SimilarityReport]) -> str:
+    return format_table(
+        ["Graphs", "NMI", "F-measure", "NVD", "RI", "ARI", "JI"],
+        [[name, *rep.as_dict().values()] for name, rep in reports.items()],
+        title="Table III: parallel-vs-sequential partition similarity",
+        float_fmt="{:.4f}",
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -386,49 +418,26 @@ def run_fig6(
     )
 
 
-def _paper_work_scale(graph_name: str, proxy_edges: int) -> float:
-    """Extrapolation factor from a proxy to the paper's dataset size."""
-    spec = SOCIAL_GRAPHS[graph_name]
-    return (spec.orig_edges * 1e6) / max(1, proxy_edges)
-
-
 def paper_work_scale(graph_name: str, proxy_edges: int) -> float:
-    """Public alias of the proxy->paper extrapolation factor.
+    """Extrapolation factor from a proxy to the paper's dataset size.
 
     The bench harness resolves ``work_scale = "paper"`` cells through this;
     ``graph_name`` must be a Table I social graph.
     """
-    return _paper_work_scale(graph_name, proxy_edges)
+    spec = SOCIAL_GRAPHS[graph_name]
+    return (spec.orig_edges * 1e6) / max(1, proxy_edges)
 
 
 # --------------------------------------------------------------------- #
 # Fig. 7 -- thread / node speedup (machine-model driven)
 # --------------------------------------------------------------------- #
 
-
-@dataclass
-class SpeedupCurve:
-    graph: str
-    x: list[int]  # threads or nodes
-    speedup: list[float]
-    baseline_seconds: float
-
-
-def _modeled_total(
-    result, machine: MachineModel, threads: int, nodes: int, work_scale: float = 1.0
-) -> float:
-    return total_time(
-        result.simulation.profiler, machine,
-        threads=threads, nodes=nodes, work_scale=work_scale,
-    )
-
-
 #: Machine ops the sequential reference spends per adjacency entry per sweep
 #: (one neighbor-map find/update, no messaging).
 _SEQ_OPS_PER_ENTRY = 4.0
 
 
-def _sequential_reference_seconds(
+def sequential_reference_seconds(
     result, machine: MachineModel, work_scale: float = 1.0
 ) -> float:
     """Modeled single-thread time of the *original sequential* implementation.
@@ -446,84 +455,49 @@ def _sequential_reference_seconds(
     return ops * machine.t_op * work_scale
 
 
-def sequential_reference_seconds(
-    result, machine: MachineModel, work_scale: float = 1.0
-) -> float:
-    """Public alias: modeled Blondel single-thread baseline for Fig. 7."""
-    return _sequential_reference_seconds(result, machine, work_scale)
+def fig7_speedup_curves(summary: dict, axis: str) -> dict[str, Curve]:
+    """Fig. 7 projection: per graph, ``(axis values, speedups)`` by axis.
+
+    ``axis`` is the swept factor (``threads`` for 7a, ``nodes`` for 7b/c).
+    Speedup is the modeled sequential reference of the graph's
+    smallest-``axis`` cell over each cell's modeled seconds.
+    """
+    points: dict[str, list[tuple[int, float, float]]] = {}
+    for cell in summary["cells"].values():
+        metrics = cell["metrics"]
+        points.setdefault(cell["factors"]["graph"], []).append((
+            int(cell["factors"][axis]),
+            metrics["seq_reference_s"]["median"],
+            metrics["modeled_s"]["median"],
+        ))
+    return {
+        graph: (xs, [seq_ref[0] / t for t in modeled])
+        for graph, (xs, seq_ref, modeled) in _curves(points).items()
+    }
 
 
-def run_fig7_threads(
-    graphs: list[str] | None = None,
+def format_fig7(
     *,
-    machine: MachineModel = P7IH,
-    thread_counts: list[int] | None = None,
-    seed: int = 0,
-    scale: float = 0.5,
-) -> list[SpeedupCurve]:
-    """Fig. 7a: single node, 2-32 threads; speedup vs 1 thread."""
-    graphs = graphs or ["LiveJournal", "Wikipedia", "UK-2005", "Twitter"]
-    thread_counts = thread_counts or [2, 4, 8, 16, 32]
-    curves = []
-    for name in graphs:
-        g = load_social_graph(name, seed=seed, scale=scale).graph
-        ws = _paper_work_scale(name, g.num_edges)
-        result = parallel_louvain(g, num_ranks=1)
-        base = _sequential_reference_seconds(result, machine, ws)
-        speedups = [
-            base / _modeled_total(result, machine, threads=t, nodes=1, work_scale=ws)
-            for t in thread_counts
-        ]
-        curves.append(
-            SpeedupCurve(graph=name, x=thread_counts, speedup=speedups, baseline_seconds=base)
-        )
-    return curves
-
-
-def run_fig7_nodes(
-    graphs: list[str] | None = None,
-    *,
-    machine: MachineModel = P7IH,
-    node_counts: list[int] | None = None,
-    seed: int = 0,
-    scale: float = 0.5,
-) -> list[SpeedupCurve]:
-    """Fig. 7b/c: 1-64 nodes (32 threads each); speedup vs 1 thread 1 node."""
-    graphs = graphs or ["LiveJournal", "Wikipedia", "UK-2005", "Twitter"]
-    node_counts = node_counts or [1, 2, 4, 8, 16, 32, 64]
-    curves = []
-    for name in graphs:
-        g = load_social_graph(name, seed=seed, scale=scale).graph
-        ws = _paper_work_scale(name, g.num_edges)
-        base_result = parallel_louvain(g, num_ranks=1)
-        base = _sequential_reference_seconds(base_result, machine, ws)
-        speedups = []
-        for nodes in node_counts:
-            result = parallel_louvain(g, num_ranks=nodes)
-            t = _modeled_total(
-                result, machine,
-                threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-            )
-            speedups.append(base / t)
-        curves.append(
-            SpeedupCurve(graph=name, x=node_counts, speedup=speedups, baseline_seconds=base)
-        )
-    return curves
+    threads: dict[str, Curve] | None = None,
+    nodes: dict[str, Curve] | None = None,
+) -> str:
+    lines = []
+    for curves, title in (
+        (threads, "Fig. 7a: thread speedup on one P7-IH node (vs 1-thread sequential)"),
+        (nodes, "Fig. 7b/c: node speedup, 32 threads/node (vs 1-thread sequential)"),
+    ):
+        if curves is not None:
+            lines.append(title)
+            lines += [
+                "  " + format_series(graph, x, speedup, fmt="{:.1f}")
+                for graph, (x, speedup) in curves.items()
+            ]
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------- #
 # Fig. 8 -- execution-time breakdown (UK-2007 proxy)
 # --------------------------------------------------------------------- #
-
-
-@dataclass
-class Fig8Result:
-    node_counts: list[int]
-    #: per node count: per outer level: {phase: seconds} (REFINE vs RECON)
-    outer_breakdown: list[list[dict[str, float]]]
-    #: per node count: level-0 per-inner-iteration {phase: seconds}
-    inner_breakdown: list[list[dict[str, float]]]
-    modularities: list[float]
 
 
 def fig8_level_breakdown(
@@ -571,37 +545,44 @@ def fig8_iteration_breakdown(
     return inner_iters
 
 
-def run_fig8(
-    *,
-    graph_name: str = "UK-2007",
-    node_counts: list[int] | None = None,
-    machine: MachineModel = P7IH,
-    seed: int = 0,
-    scale: float = 1.0,
-) -> Fig8Result:
-    node_counts = node_counts or [8, 16, 32]
-    g = load_social_graph(graph_name, seed=seed, scale=scale).graph
-    ws = _paper_work_scale(graph_name, g.num_edges)
-    outer_all, inner_all, mods = [], [], []
-    for nodes in node_counts:
-        result = parallel_louvain(g, num_ranks=nodes)
-        mods.append(result.final_modularity)
-        outer_all.append(
-            fig8_level_breakdown(
-                result, machine=machine, nodes=nodes, work_scale=ws
-            )
-        )
-        inner_all.append(
-            fig8_iteration_breakdown(
-                result, machine=machine, nodes=nodes, work_scale=ws
-            )
-        )
-    return Fig8Result(
-        node_counts=node_counts,
-        outer_breakdown=outer_all,
-        inner_breakdown=inner_all,
-        modularities=mods,
+def fig8_breakdowns(matrix: MatrixResult):
+    """Fig. 8 projection of a ``keep_raw=True`` run of a node-count sweep.
+
+    Returns ``(node_counts, outer, inner, modularities)`` ordered by node
+    count: per cell the :func:`fig8_level_breakdown` and
+    :func:`fig8_iteration_breakdown` of its raw result on P7-IH, and its
+    final modularity.
+    """
+    node_counts, outer, inner, mods = [], [], [], []
+    for cell_result in sorted(
+        matrix.cells, key=lambda c: int(c.cell.params["nodes"])
+    ):
+        rep = cell_result.timed[0]
+        nodes = int(cell_result.cell.params["nodes"])
+        ws = rep.work_scale if rep.work_scale is not None else 1.0
+        node_counts.append(nodes)
+        outer.append(fig8_level_breakdown(rep.raw, nodes=nodes, work_scale=ws))
+        inner.append(fig8_iteration_breakdown(rep.raw, nodes=nodes, work_scale=ws))
+        mods.append(rep.modularity)
+    return node_counts, outer, inner, mods
+
+
+def format_fig8(breakdowns) -> str:
+    node_counts, outer, inner, mods = breakdowns
+    lines = ["Fig. 8a: outer-loop breakdown (modeled seconds)"]
+    for nodes, levels in zip(node_counts, outer):
+        lines.append(f"  {nodes} nodes:")
+        for i, phases in enumerate(levels):
+            row = "  ".join(f"{k}={v:.3f}s" for k, v in sorted(phases.items()))
+            lines.append(f"    level {i}: {row}")
+    lines.append(
+        f"Fig. 8b: inner-loop breakdown, first outer loop ({node_counts[-1]} nodes)"
     )
+    for i, phases in enumerate(inner[-1][:8]):
+        row = "  ".join(f"{k}={v:.4f}s" for k, v in sorted(phases.items()))
+        lines.append(f"    iter {i + 1}: {row}")
+    lines.append(f"  modularity per node count: {[round(q, 3) for q in mods]}")
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------- #
@@ -635,7 +616,7 @@ def run_table4(
     *, nodes: int = 128, machine: MachineModel = P7IH, seed: int = 0, scale: float = 1.0
 ) -> Table4Result:
     g = load_social_graph("UK-2007", seed=seed, scale=scale).graph
-    ws = _paper_work_scale("UK-2007", g.num_edges)
+    ws = paper_work_scale("UK-2007", g.num_edges)
     result = parallel_louvain(g, num_ranks=nodes)
     secs = total_time(
         result.simulation.profiler, machine,
@@ -658,114 +639,53 @@ def run_table4(
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class ScalingPoint:
-    nodes: int
-    edges: int
-    gteps: float
-    first_level_seconds: float
-    modularity: float
+def fig9_weak_curves(summary: dict) -> dict[str, tuple[list, list, list]]:
+    """Fig. 9a projection: per curve, ``(nodes, gteps, modularity)``.
 
-
-@dataclass
-class ScalingCurve:
-    label: str
-    machine: str
-    points: list[ScalingPoint]
-
-
-def run_fig9_weak(
-    *,
-    node_counts: list[int] | None = None,
-    vertices_per_node: int = 512,
-    machine: MachineModel = BGQ,
-    generator: str = "rmat",
-    bter_rho: float = 0.6,
-    seed: int = 0,
-) -> ScalingCurve:
-    """Weak scaling: fixed per-node workload, growing node count.
-
-    Paper: R-MAT 2^20 vertices / 2^24 edges per node on BG/Q; BTER 2^22
-    vertices per node (avg degree 32) on P7-IH with GCC in {0.15, 0.55}.
-    Scaled to laptop sizes; the claim under test is that GTEPS grows
-    ~linearly with nodes.
+    Cells come from a ``point`` factor named ``<curve>/n<nodes>``.
     """
-    node_counts = node_counts or [2, 4, 8, 16, 32]
-    # Paper per-node workload: R-MAT 2^24 edges/node (BG/Q); BTER 2^22
-    # vertices x avg degree 32 / 2 = 2^26 edges/node (P7-IH).
-    paper_edges_per_node = 2**24 if generator == "rmat" else 2**26
-    points = []
-    for nodes in node_counts:
-        n = vertices_per_node * nodes
-        if generator == "rmat":
-            scale_exp = max(4, int(round(np.log2(n))))
-            g = generate_rmat(RMATParams(scale=scale_exp, edge_factor=16), seed=seed)
-        elif generator == "bter":
-            g = generate_bter(
-                BTERParams(num_vertices=n, avg_degree=32, max_degree=256, rho=bter_rho),
-                seed=seed,
-            ).graph
-        else:
-            raise ValueError(f"unknown generator {generator!r}")
-        ws = (paper_edges_per_node * nodes) / max(1, g.num_edges)
-        scaled_edges = int(g.num_edges * ws)
-        result = parallel_louvain(g, num_ranks=nodes, max_levels=2)
-        points.append(
-            ScalingPoint(
-                nodes=nodes,
-                edges=scaled_edges,
-                gteps=gteps(
-                    scaled_edges, result, machine,
-                    threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-                ),
-                first_level_seconds=first_level_seconds(
-                    result, machine,
-                    threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-                ),
-                modularity=result.final_modularity,
-            )
-        )
-    label = f"weak-{generator}" + (f"-rho{bter_rho}" if generator == "bter" else "")
-    return ScalingCurve(label=label, machine=machine.name, points=points)
+    points: dict[str, list[tuple]] = {}
+    for cell in summary["cells"].values():
+        curve, _, node_tag = cell["factors"]["point"].partition("/")
+        points.setdefault(curve, []).append((
+            int(node_tag.lstrip("n")),
+            cell["metrics"]["gteps"]["median"],
+            cell["metrics"]["modularity"]["median"],
+        ))
+    return _curves(points)  # type: ignore[return-value]
 
 
-def run_fig9_strong(
+def fig9_strong_curves(summary: dict) -> dict[str, Curve]:
+    """Fig. 9b/c projection: per ``workload``, ``(nodes, gteps)``."""
+    points: dict[str, list[tuple]] = {}
+    for cell in summary["cells"].values():
+        points.setdefault(cell["factors"]["workload"], []).append((
+            int(cell["factors"]["nodes"]), cell["metrics"]["gteps"]["median"]
+        ))
+    return _curves(points)  # type: ignore[return-value]
+
+
+def format_fig9(
     *,
-    node_counts: list[int] | None = None,
-    machine: MachineModel = P7IH,
-    graph_name: str | None = "UK-2007",
-    rmat_scale: int | None = None,
-    seed: int = 0,
-    scale: float = 1.0,
-) -> ScalingCurve:
-    """Strong scaling: fixed graph, growing node count."""
-    node_counts = node_counts or [2, 4, 8, 16, 32, 64]
-    if rmat_scale is not None:
-        g = generate_rmat(RMATParams(scale=rmat_scale, edge_factor=16), seed=seed)
-        label = f"strong-rmat{rmat_scale}"
-        # Paper strong-scaling R-MAT: scale 30 (BG/Q) = 2^34 edges.
-        ws = float(2**34) / max(1, g.num_edges)
-    else:
-        g = load_social_graph(graph_name, seed=seed, scale=scale).graph
-        label = f"strong-{graph_name}"
-        ws = _paper_work_scale(graph_name, g.num_edges)
-    scaled_edges = int(g.num_edges * ws)
-    points = []
-    for nodes in node_counts:
-        result = parallel_louvain(g, num_ranks=nodes, max_levels=2)
-        points.append(
-            ScalingPoint(
-                nodes=nodes,
-                edges=scaled_edges,
-                gteps=gteps(
-                    scaled_edges, result, machine,
-                    threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-                ),
-                first_level_seconds=first_level_seconds(
-                    result, machine,
-                    threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-                ),
-                modularity=result.final_modularity,
-            )
+    weak: dict[str, tuple[list, list, list]] | None = None,
+    strong: dict[str, Curve] | None = None,
+) -> str:
+    lines = []
+    if weak is not None:
+        lines.append("Fig. 9a: weak scaling")
+        lines += [
+            "  " + format_series(f"{name} GTEPS", nodes, gteps, fmt="{:.4f}")
+            for name, (nodes, gteps, _mods) in weak.items()
+        ]
+        finals = ", ".join(f"{name} {mods[-1]:.3f}" for name, (*_, mods) in weak.items())
+        lines.append(
+            f"  final modularity: {finals} "
+            "(paper BTER: 0.693 at GCC~0.15, 0.926 at GCC~0.55)"
         )
-    return ScalingCurve(label=label, machine=machine.name, points=points)
+    if strong is not None:
+        lines.append("Fig. 9b/c: strong scaling (paper-size workloads extrapolated)")
+        lines += [
+            "  " + format_series(f"{name} GTEPS", nodes, gteps, fmt="{:.4f}")
+            for name, (nodes, gteps) in strong.items()
+        ]
+    return "\n".join(lines)

@@ -90,33 +90,16 @@ class MessageBus:
         the same columns (without the dest column), concatenated over all
         sources in rank order (then optionally shuffled).
         """
-        if len(outboxes) != self.num_ranks:
-            raise ValueError("one outbox per rank required")
-        sanitizer = self.sanitizer
-        if sanitizer.enabled:
-            phase = (
-                self.profiler.current_phase if self.profiler is not None else None
-            )
-            sanitizer.check_exchange_participation(outboxes, phase=phase)
+        self._check_participation(outboxes)
         arity = None
         for box in outboxes:
             if box is not None and len(box) >= 2:
                 arity = len(box) - 1
                 break
         if arity is None:
-            empty = tuple(np.empty(0, dtype=np.int64) for _ in range(1))
-            return ExchangeResult(columns=[empty] * self.num_ranks)
+            return self._empty()
 
-        tracer = self.profiler.tracer if self.profiler is not None else None
-        tracing = tracer is not None and tracer.enabled
-        if tracing:
-            sent_records = [0] * self.num_ranks
-            sent_bytes = 0
-            sent_messages = 0
-
-        per_dest_parts: list[list[tuple[np.ndarray, ...]]] = [
-            [] for _ in range(self.num_ranks)
-        ]
+        grouped: list[list[tuple[np.ndarray, ...]] | None] = [None] * self.num_ranks
         for src, box in enumerate(outboxes):
             if box is None:
                 continue
@@ -132,52 +115,15 @@ class MessageBus:
             if dest.min() < 0 or dest.max() >= self.num_ranks:
                 raise ValueError("destination rank out of range")
             order = np.argsort(dest, kind="stable")
-            sorted_dest = dest[order]
             boundaries = np.searchsorted(
-                sorted_dest, np.arange(self.num_ranks + 1, dtype=np.int64)
+                dest[order], np.arange(self.num_ranks + 1, dtype=np.int64)
             )
-            nonempty = np.flatnonzero(np.diff(boundaries) > 0)
-            touched = int(nonempty.size)
-            for d in nonempty.tolist():
+            parts: list[tuple[np.ndarray, ...]] = [()] * self.num_ranks
+            for d in np.flatnonzero(np.diff(boundaries) > 0).tolist():
                 a, b = boundaries[d], boundaries[d + 1]
-                part = tuple(np.asarray(col)[order[a:b]] for col in cols)
-                per_dest_parts[d].append(part)
-            if self.profiler is not None:
-                self.profiler.add_send(
-                    src,
-                    records=int(dest.size),
-                    nbytes=int(dest.size) * arity * _BYTES_PER_WORD,
-                    messages=touched,
-                )
-            if tracing:
-                sent_records[src] += int(dest.size)
-                sent_bytes += int(dest.size) * arity * _BYTES_PER_WORD
-                sent_messages += touched
-
-        inboxes: list[tuple[np.ndarray, ...]] = []
-        for d in range(self.num_ranks):
-            parts = per_dest_parts[d]
-            if parts:
-                cols = tuple(
-                    np.concatenate([p[i] for p in parts]) for i in range(arity)
-                )
-            else:
-                cols = tuple(np.empty(0, dtype=np.int64) for _ in range(arity))
-            if self.reorder_rng is not None and cols[0].size > 1:
-                perm = self.reorder_rng.permutation(cols[0].size)
-                cols = tuple(c[perm] for c in cols)
-            inboxes.append(cols)
-        if self.profiler is not None:
-            self.profiler.add_superstep()
-        if tracing:
-            tracer.superstep(
-                self.profiler.current_phase,
-                records=sum(sent_records),
-                nbytes=sent_bytes,
-                messages=sent_messages,
-                per_rank_records=sent_records,
-            )
-        return ExchangeResult(columns=inboxes)
+                parts[d] = tuple(np.asarray(col)[order[a:b]] for col in cols)
+            grouped[src] = parts
+        return self._deliver(grouped, arity)
 
     def exchange_grouped(
         self, outboxes: list[list[tuple[np.ndarray, ...]] | None]
@@ -194,52 +140,60 @@ class MessageBus:
         the vectorized backend's STATE PROPAGATION resends the same in-edge
         structure every inner iteration).
         """
-        if len(outboxes) != self.num_ranks:
-            raise ValueError("one outbox per rank required")
-        sanitizer = self.sanitizer
-        if sanitizer.enabled:
-            phase = (
-                self.profiler.current_phase if self.profiler is not None else None
-            )
-            sanitizer.check_exchange_participation(outboxes, phase=phase)
+        self._check_participation(outboxes)
         arity = None
         for box in outboxes:
             if box is None:
                 continue
             if len(box) != self.num_ranks:
                 raise ValueError("grouped outbox must list every destination")
-            for part in box:
-                if part:
-                    arity = len(part)
-                    break
-            if arity is not None:
-                break
+            if arity is None:
+                arity = next((len(part) for part in box if part), None)
         if arity is None:
-            empty = (np.empty(0, dtype=np.int64),)
-            return ExchangeResult(columns=[empty] * self.num_ranks)
+            return self._empty()
+        for box in outboxes:
+            for part in box or ():
+                if len(part) != arity:
+                    raise ValueError("all outboxes must have the same arity")
+                n = np.asarray(part[0]).shape[0]
+                for col in part[1:]:
+                    if np.asarray(col).shape[0] != n:
+                        raise ValueError("columns must match part length")
+        return self._deliver(outboxes, arity)
 
+    def _check_participation(self, outboxes: list) -> None:
+        if len(outboxes) != self.num_ranks:
+            raise ValueError("one outbox per rank required")
+        if self.sanitizer.enabled:
+            phase = (
+                self.profiler.current_phase if self.profiler is not None else None
+            )
+            self.sanitizer.check_exchange_participation(outboxes, phase=phase)
+
+    def _empty(self) -> ExchangeResult:
+        empty = (np.empty(0, dtype=np.int64),)
+        return ExchangeResult(columns=[empty] * self.num_ranks)
+
+    def _deliver(
+        self, grouped: list[list[tuple[np.ndarray, ...]] | None], arity: int
+    ) -> ExchangeResult:
+        """Account, concatenate per destination in source-rank order,
+        optionally shuffle, and trace one superstep of per-destination parts
+        (empty parts are skipped)."""
         tracer = self.profiler.tracer if self.profiler is not None else None
         tracing = tracer is not None and tracer.enabled
-        if tracing:
-            sent_records = [0] * self.num_ranks
-            sent_bytes = 0
-            sent_messages = 0
-
+        sent_records = [0] * self.num_ranks
         per_dest_parts: list[list[tuple[np.ndarray, ...]]] = [
             [] for _ in range(self.num_ranks)
         ]
-        for src, box in enumerate(outboxes):
+        sent_messages = 0
+        for src, box in enumerate(grouped):
             if box is None:
                 continue
             records = 0
             touched = 0
             for d, part in enumerate(box):
-                if len(part) != arity:
-                    raise ValueError("all outboxes must have the same arity")
-                n = int(np.asarray(part[0]).shape[0])
-                for col in part[1:]:
-                    if np.asarray(col).shape[0] != n:
-                        raise ValueError("columns must match part length")
+                n = int(np.asarray(part[0]).shape[0]) if part else 0
                 if n == 0:
                     continue
                 per_dest_parts[d].append(part)
@@ -252,10 +206,8 @@ class MessageBus:
                     nbytes=records * arity * _BYTES_PER_WORD,
                     messages=touched,
                 )
-            if tracing:
-                sent_records[src] += records
-                sent_bytes += records * arity * _BYTES_PER_WORD
-                sent_messages += touched
+            sent_records[src] = records
+            sent_messages += touched
 
         inboxes: list[tuple[np.ndarray, ...]] = []
         for d in range(self.num_ranks):
@@ -273,10 +225,11 @@ class MessageBus:
         if self.profiler is not None:
             self.profiler.add_superstep()
         if tracing:
+            total = sum(sent_records)
             tracer.superstep(
                 self.profiler.current_phase,
-                records=sum(sent_records),
-                nbytes=sent_bytes,
+                records=total,
+                nbytes=total * arity * _BYTES_PER_WORD,
                 messages=sent_messages,
                 per_rank_records=sent_records,
             )

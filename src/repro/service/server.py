@@ -36,6 +36,12 @@ POST     ``/shutdown``            drain and stop the server
 Backpressure: when the job queue is full, POSTs return **503** with a
 ``Retry-After`` header instead of blocking the request thread or silently
 dropping the job -- the submitter decides whether to retry.
+
+Size limits: a ``Content-Length`` above ``MAX_BODY_BYTES`` answers **413**
+(and closes the connection) before the body is read; a graph or edge batch
+naming more than ``MAX_GRAPH_VERTICES`` vertices answers **400** before any
+graph is allocated.  Both count in ``service_requests_rejected_too_large``.
+Every other malformed body answers 400.
 """
 
 from __future__ import annotations
@@ -52,19 +58,57 @@ from ..observability.exporters import LatencyHistogram, prometheus_histograms
 from .jobs import QueueClosedError, QueueFullError
 from .workers import DetectionService
 
-__all__ = ["ServiceServer", "run_server", "MAX_LONGPOLL_WAIT"]
+__all__ = [
+    "ServiceServer", "run_server", "MAX_LONGPOLL_WAIT", "MAX_BODY_BYTES",
+    "MAX_GRAPH_VERTICES",
+]
 
 #: Upper bound on ``GET /jobs/<id>?wait=`` -- each long-poll parks one
 #: request thread, so waits are bounded and clients re-issue to keep waiting.
 MAX_LONGPOLL_WAIT = 30.0
 
+#: Largest request body read (64 MiB); a larger ``Content-Length`` gets 413.
+MAX_BODY_BYTES = 64 * 2**20
+
+#: Largest vertex count a graph body or edge batch may name (2^22).
+MAX_GRAPH_VERTICES = 2**22
+
+#: Malformed JSON values: int("x"), int([]), int(float("inf")), ...
+_VALUE_ERRORS = (TypeError, ValueError, OverflowError)
+
 
 class _BadRequest(ValueError):
-    """Client error -> 400 with the message in the JSON body."""
+    """Client error -> ``status`` (400) with the message in the JSON body."""
+
+    status = 400
+
+
+class _TooLarge(_BadRequest):
+    """A request over a size limit (counted in /metrics)."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _json_doc(body: bytes):
+    try:
+        return json.loads(body or b"{}")
+    except (ValueError, RecursionError) as exc:  # incl. undecodable bytes
+        raise _BadRequest(f"invalid JSON body: {exc}") from exc
+
+
+def _number(doc: dict, key: str, kind=int):
+    try:
+        return kind(doc[key])
+    except _VALUE_ERRORS as exc:
+        raise _BadRequest(f"{key}: {exc}") from None
 
 
 def _parse_edge_rows(rows, what: str):
     """``[[u, v], [u, v, w], ...]`` -> (src, dst, weight|None) arrays."""
+    if not isinstance(rows, list):
+        raise _BadRequest(f"{what}: expected an array of edges, got {rows!r}")
     src, dst, wt = [], [], []
     weighted = False
     for i, row in enumerate(rows):
@@ -72,16 +116,31 @@ def _parse_edge_rows(rows, what: str):
             raise _BadRequest(
                 f"{what}[{i}]: expected [u, v] or [u, v, w], got {row!r}"
             )
-        src.append(int(row[0]))
-        dst.append(int(row[1]))
-        if len(row) == 3:
-            weighted = True
-            wt.append(float(row[2]))
-        else:
-            wt.append(1.0)
+        try:
+            src.append(int(row[0]))
+            dst.append(int(row[1]))
+            if len(row) == 3:
+                weighted = True
+                wt.append(float(row[2]))
+            else:
+                wt.append(1.0)
+        except _VALUE_ERRORS as exc:
+            raise _BadRequest(f"{what}[{i}]: {exc}") from None
+    try:
+        src_arr = np.asarray(src, dtype=np.int64)
+        dst_arr = np.asarray(dst, dtype=np.int64)
+    except OverflowError:  # an id past the int64 range
+        raise _TooLarge(f"{what}: vertex id out of range") from None
+    if src_arr.size:
+        if min(src_arr.min(), dst_arr.min()) < 0:
+            raise _BadRequest(f"{what}: vertex ids must be non-negative")
+        if max(src_arr.max(), dst_arr.max()) >= MAX_GRAPH_VERTICES:
+            raise _TooLarge(
+                f"{what}: vertex id above {MAX_GRAPH_VERTICES - 1}"
+            )
     return (
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
+        src_arr,
+        dst_arr,
         np.asarray(wt, dtype=np.float64) if weighted else None,
     )
 
@@ -90,25 +149,30 @@ def _graph_from_body(body: bytes, content_type: str):
     from ..graph import Graph, read_edge_list
 
     if "json" in content_type:
-        try:
-            doc = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
-            raise _BadRequest(f"invalid JSON body: {exc}") from exc
+        doc = _json_doc(body)
         if not isinstance(doc, dict) or "edges" not in doc:
             raise _BadRequest('JSON graph body needs an "edges" array')
         src, dst, wt = _parse_edge_rows(doc["edges"], "edges")
-        num_vertices = doc.get("num_vertices")
-        graph = Graph.from_edges(
-            src, dst, wt,
-            num_vertices=None if num_vertices is None else int(num_vertices),
-        )
+        num_vertices = None
+        if doc.get("num_vertices") is not None:
+            num_vertices = _number(doc, "num_vertices")
+            if num_vertices < 0:
+                raise _BadRequest("num_vertices must be non-negative")
+            if num_vertices > MAX_GRAPH_VERTICES:
+                raise _TooLarge(
+                    f"num_vertices {num_vertices} exceeds {MAX_GRAPH_VERTICES}"
+                )
+        try:
+            graph = Graph.from_edges(src, dst, wt, num_vertices=num_vertices)
+        except ValueError as exc:
+            raise _BadRequest(str(exc)) from exc
         return graph, doc
     # Fall back to the plain-text edge-list format `repro detect` reads.
     import io
 
     try:
         graph = read_edge_list(io.StringIO(body.decode("utf-8")))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # incl. UnicodeDecodeError
         raise _BadRequest(f"cannot parse edge-list body: {exc}") from exc
     return graph, {}
 
@@ -116,10 +180,7 @@ def _graph_from_body(body: bytes, content_type: str):
 def _batch_from_body(body: bytes):
     from ..parallel import EdgeBatch
 
-    try:
-        doc = json.loads(body or b"{}")
-    except json.JSONDecodeError as exc:
-        raise _BadRequest(f"invalid JSON body: {exc}") from exc
+    doc = _json_doc(body)
     if not isinstance(doc, dict) or ("add" not in doc and "remove" not in doc):
         raise _BadRequest('edge-batch body needs "add" and/or "remove" arrays')
     add_src, add_dst, add_wt = _parse_edge_rows(doc.get("add", []), "add")
@@ -139,11 +200,11 @@ def _job_options(doc: dict) -> dict:
     """Extract queue-level knobs (priority/timeout/retries) from a body."""
     opts = {}
     if "priority" in doc:
-        opts["priority"] = int(doc["priority"])
+        opts["priority"] = _number(doc, "priority")
     if "timeout_s" in doc:
-        opts["timeout"] = float(doc["timeout_s"])
+        opts["timeout"] = _number(doc, "timeout_s", float)
     if "max_retries" in doc:
-        opts["max_retries"] = int(doc["max_retries"])
+        opts["max_retries"] = _number(doc, "max_retries")
     return opts
 
 
@@ -190,10 +251,15 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(raw)
         except ValueError:
             length = -1
-        if length < 0:
-            # The body's extent is unknown, so the connection cannot be reused.
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused.
             self.close_connection = True
-            raise _BadRequest(f"invalid Content-Length: {raw!r}")
+            if length < 0:
+                raise _BadRequest(f"invalid Content-Length: {raw!r}")
+            raise _TooLarge(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}",
+                status=413,
+            )
         return self.rfile.read(length) if length else b""
 
     def _query(self) -> dict[str, str]:
@@ -235,7 +301,11 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             self._dispatch_post()
         except _BadRequest as exc:
-            self._send(400, {"error": str(exc)})
+            if isinstance(exc, _TooLarge):
+                self.service.tracer.add_counter(
+                    "service_requests_rejected_too_large", 1
+                )
+            self._send(exc.status, {"error": str(exc)})
         except QueueFullError as exc:
             self.service.tracer.add_counter("service_jobs_rejected", 1)
             self._send(503, {"error": str(exc)}, headers={"Retry-After": "1"})
@@ -359,10 +429,11 @@ class _Handler(BaseHTTPRequestHandler):
             batch, doc = _batch_from_body(self._body())
             update_opts = {}
             if "num_ranks" in doc:
-                update_opts["num_ranks"] = int(doc["num_ranks"])
+                update_opts["num_ranks"] = _number(doc, "num_ranks")
             base = doc.get("base_version")
             job = self.service.submit_edge_batch(
-                batch, base_version=None if base is None else int(base),
+                batch,
+                base_version=None if base is None else _number(doc, "base_version"),
                 **_job_options(doc), **update_opts,
             )
             self._send(202, {"job_id": job.job_id, "state": job.state,

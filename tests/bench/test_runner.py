@@ -125,6 +125,12 @@ class TestRunnerErrors:
         with pytest.raises(BenchConfigError, match="unknown machine"):
             run_matrix(config)
 
+    def test_unknown_graph_family(self):
+        config = tiny_config(factors={"variant": ["parallel"]})
+        config.graphs["g"] = {"family": "magic", "num_vertices": 64}
+        with pytest.raises(BenchConfigError, match="unknown graph family"):
+            run_matrix(config)
+
     def test_cell_without_graph(self):
         config = tiny_config(factors={"variant": ["parallel"]})
         del config.cell["graph"]

@@ -3,38 +3,29 @@
 import numpy as np
 import pytest
 
-from repro.harness import run_fig9_weak
-from repro.harness.experiments import (
-    _paper_work_scale,
-    _sequential_reference_seconds,
-)
+from repro.harness import paper_work_scale, sequential_reference_seconds
 from repro.parallel import parallel_louvain
 from repro.runtime import P7IH
 
 
 class TestWorkScaleHelper:
     def test_scale_is_orig_over_proxy(self):
-        ws = _paper_work_scale("UK-2007", 1_000_000)
+        ws = paper_work_scale("UK-2007", 1_000_000)
         assert ws == pytest.approx(3783.7e6 / 1e6)
 
     def test_unknown_graph_raises(self):
         with pytest.raises(KeyError):
-            _paper_work_scale("NotAGraph", 10)
+            paper_work_scale("NotAGraph", 10)
 
     def test_zero_edges_guarded(self):
-        assert np.isfinite(_paper_work_scale("Amazon", 0))
+        assert np.isfinite(paper_work_scale("Amazon", 0))
 
 
 class TestSequentialReference:
     def test_proportional_to_entries_and_sweeps(self, small_lfr):
         res = parallel_louvain(small_lfr.graph, num_ranks=2)
-        base = _sequential_reference_seconds(res, P7IH, 1.0)
-        scaled = _sequential_reference_seconds(res, P7IH, 10.0)
+        base = sequential_reference_seconds(res, P7IH, 1.0)
+        scaled = sequential_reference_seconds(res, P7IH, 10.0)
         assert scaled == pytest.approx(10 * base)
         assert base > 0
 
-
-class TestFig9Validation:
-    def test_unknown_generator_rejected(self):
-        with pytest.raises(ValueError, match="unknown generator"):
-            run_fig9_weak(node_counts=[2], vertices_per_node=64, generator="magic")

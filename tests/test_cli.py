@@ -260,6 +260,138 @@ class TestExperiment:
         assert "fitted p1=" in capsys.readouterr().out
 
 
+#: Stand-in matrices, shaped like the checked-in ones but tiny.
+_TINY_GRAPHS = """
+[graphs.g]
+family = "lfr"
+seed = 1
+num_vertices = 120
+avg_degree = 8
+max_degree = 20
+mixing = 0.2
+min_community = 10
+max_community = 40
+"""
+_TINY_MATRICES = {
+    "fig4_convergence.toml": """
+[factors]
+graph = ["g"]
+variant = [
+    { _name = "sequential", variant = "sequential" },
+    { _name = "parallel", variant = "parallel" },
+    { _name = "naive", variant = "naive", max_inner = 4, max_levels = 3 },
+]
+[cell]
+graph = "{graph}"
+ranks = 2
+""",
+    "table3_quality.toml": """
+[factors]
+graph = ["g"]
+variant = ["sequential", "parallel"]
+[cell]
+variant = "{variant}"
+graph = "{graph}"
+ranks = 2
+""",
+    "fig7a_threads.toml": """
+[factors]
+graph = ["g"]
+threads = [2, 8]
+[cell]
+graph = "{graph}"
+ranks = 1
+nodes = 1
+threads = "{threads}"
+machine = "p7ih"
+work_scale = 4.0
+""",
+    "fig7bc_nodes.toml": """
+[factors]
+graph = ["g"]
+nodes = [1, 2]
+[cell]
+graph = "{graph}"
+ranks = "{nodes}"
+nodes = "{nodes}"
+threads = 32
+machine = "p7ih"
+work_scale = 4.0
+""",
+    "fig8_breakdown.toml": """
+[factors]
+nodes = [1, 2]
+[cell]
+graph = "g"
+ranks = "{nodes}"
+nodes = "{nodes}"
+machine = "p7ih"
+""",
+    "fig9a_weak.toml": """
+[factors]
+point = [
+  { _name = "g/n1", graph = "g", machine = "bgq", nodes = 1, ranks = 1, work_edges = 16777216 },
+  { _name = "g/n2", graph = "g", machine = "bgq", nodes = 2, ranks = 2, work_edges = 33554432 },
+]
+[cell]
+max_levels = 2
+""",
+    "fig9bc_strong.toml": """
+[factors]
+workload = [{ _name = "g", graph = "g", machine = "p7ih", work_scale = 4.0 }]
+nodes = [1, 2]
+[cell]
+ranks = "{nodes}"
+nodes = "{nodes}"
+max_levels = 2
+""",
+}
+
+
+@pytest.fixture
+def tiny_matrix_dir(tmp_path, monkeypatch):
+    import repro.cli
+
+    for name, body in _TINY_MATRICES.items():
+        (tmp_path / name).write_text(
+            f'label = "{name[:-5]}"\nrepetitions = 1\nwarmup = 0\n'
+            + body + _TINY_GRAPHS
+        )
+    monkeypatch.setattr(repro.cli, "MATRIX_DIR", tmp_path)
+    return tmp_path
+
+
+class TestMatrixExperiment:
+    @pytest.mark.parametrize("exp, expected", [
+        ("fig4", ["Fig. 4:", "Naive Q/level"]),
+        ("table3", ["Table III:", "F-measure"]),
+        ("fig7", ["Fig. 7a:", "  g: 2=", "Fig. 7b/c:", "  g: 1="]),
+        ("fig8", ["Fig. 8a:", "2 nodes:", "REFINE=", "Fig. 8b:", "iter 1:"]),
+        ("fig9", ["Fig. 9a:", "g GTEPS: 1=", "Fig. 9b/c:"]),
+    ])
+    def test_runs_the_matrix_projection(
+        self, tiny_matrix_dir, exp, expected, capsys
+    ):
+        rc = main(["experiment", exp])
+        assert rc == 0
+        out = capsys.readouterr().out
+        for text in expected:
+            assert text in out, text
+
+    def test_scale_rejected(self, tiny_matrix_dir, capsys):
+        rc = main(["experiment", "fig4", "--scale", "0.2"])
+        assert rc == 2
+        assert "fig4_convergence.toml" in capsys.readouterr().err
+
+    def test_missing_matrix_dir(self, tmp_path, monkeypatch, capsys):
+        import repro.cli
+
+        monkeypatch.setattr(repro.cli, "MATRIX_DIR", tmp_path / "absent")
+        rc = main(["experiment", "table3"])
+        assert rc == 2
+        assert "repro bench run" in capsys.readouterr().err
+
+
 class TestTraceDiff:
     @staticmethod
     def _write_trace(path, modularity=0.4, movers=6):
