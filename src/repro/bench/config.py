@@ -56,6 +56,7 @@ __all__ = [
     "BenchConfig",
     "Cell",
     "load_config",
+    "read_config_file",
     "parse_config",
     "expand_cells",
     "interpolate",
@@ -105,18 +106,20 @@ class BenchConfig:
         }
 
 
+def read_config_file(path: str) -> Any:
+    """Decode a matrix or scenario file (TOML unless the path ends ``.json``)."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if path.endswith(".json"):
+        return json.loads(text)
+    if tomllib is not None:
+        return tomllib.loads(text)
+    return parse_toml_subset(text)  # pragma: no cover - 3.10 fallback
+
+
 def load_config(path: str) -> BenchConfig:
     """Load and validate a matrix file (TOML unless the path ends ``.json``)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    text = raw.decode("utf-8")
-    if path.endswith(".json"):
-        data = json.loads(text)
-    elif tomllib is not None:
-        data = tomllib.loads(text)
-    else:  # pragma: no cover - 3.10 fallback, tested directly for parity
-        data = parse_toml_subset(text)
-    return parse_config(data)
+    return parse_config(read_config_file(path))
 
 
 def parse_config(data: Mapping[str, Any]) -> BenchConfig:

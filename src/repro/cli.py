@@ -192,24 +192,22 @@ def build_parser() -> argparse.ArgumentParser:
     trc_cmp.add_argument(
         "--execution", choices=["simulated", "process"], default=None,
         help="re-run the parallel-family benchmarks under this runtime "
-        "(--execution process is the zero-tolerance SPMD-equivalence gate "
-        "for the multi-process runtime; implies --backend vector)",
+        "(--execution process is the SPMD-equivalence gate for the "
+        "multi-process runtime; implies --backend vector)",
     )
     trc_cmp.add_argument(
         "--perturb-p1", type=float, default=1.0, metavar="FACTOR",
         help="self-test knob: multiply the Eq.-7 schedule's p1 by FACTOR "
         "for the current run (the gate must then report drift)",
     )
-    _add_tolerance_flags(trc_cmp)
 
     trc_diff = trc_sub.add_parser(
         "diff",
         help="fingerprint-diff two recorded traces (no golden registry "
         "needed; non-zero exit on drift)",
     )
-    trc_diff.add_argument("golden", help="baseline JSONL trace (or .fingerprint.json)")
+    trc_diff.add_argument("golden", help="baseline JSONL trace")
     trc_diff.add_argument("current", help="trace to compare against the baseline")
-    _add_tolerance_flags(trc_diff)
 
     trc_sub.add_parser("list", help="list the registered golden benchmarks")
 
@@ -479,50 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    """Fingerprint tolerance overrides shared by ``trace compare``/``diff``."""
-    parser.add_argument(
-        "--iterations-tol", type=int, default=None, metavar="N",
-        help="allowed per-level iteration-count drift (default 0)",
-    )
-    parser.add_argument(
-        "--movers-tol", type=float, default=None, metavar="FRAC",
-        help="allowed relative per-iteration mover-count drift (default 0.02)",
-    )
-    parser.add_argument(
-        "--modularity-tol", type=float, default=None, metavar="ABS",
-        help="allowed absolute modularity drift (default 1e-6)",
-    )
-    parser.add_argument(
-        "--records-tol", type=float, default=None, metavar="FRAC",
-        help="allowed relative superstep record/byte drift (default 0.02)",
-    )
-    parser.add_argument(
-        "--exact", action="store_true",
-        help="zero out every tolerance: the fingerprints must match "
-        "bitwise (individual --*-tol flags still apply on top)",
-    )
-
-
-def _tolerances_from_args(args):
-    import dataclasses
-
-    from .observability.golden import Tolerances
-
-    tol_kwargs = {}
-    if args.exact:
-        tol_kwargs = {f.name: 0 for f in dataclasses.fields(Tolerances)}
-    if args.iterations_tol is not None:
-        tol_kwargs["iterations_abs"] = args.iterations_tol
-    if args.movers_tol is not None:
-        tol_kwargs["movers_rel"] = args.movers_tol
-    if args.modularity_tol is not None:
-        tol_kwargs["modularity_abs"] = args.modularity_tol
-    if args.records_tol is not None:
-        tol_kwargs["records_rel"] = args.records_tol
-    return Tolerances(**tol_kwargs)
-
-
 # --------------------------------------------------------------------- #
 # Commands
 # --------------------------------------------------------------------- #
@@ -580,13 +534,10 @@ def _cmd_detect(args) -> int:
     else:
         try:
             backend_kwargs = {}
-            if args.algorithm in ("parallel", "naive"):
-                default_backend = (
-                    "vector" if args.execution == "process" else "hash"
-                )
-                backend_kwargs["backend"] = args.backend or default_backend
-                if args.algorithm == "parallel":
-                    backend_kwargs["execution"] = args.execution
+            if args.backend is not None:
+                backend_kwargs["backend"] = args.backend
+            if args.algorithm == "parallel":
+                backend_kwargs["execution"] = args.execution
             summary = detect_communities(
                 graph, algorithm=args.algorithm, num_ranks=args.ranks,
                 machine=machine, seed=args.seed, tracer=tracer,
@@ -880,22 +831,20 @@ def _cmd_trace(args) -> int:
         return 0
 
     if args.trace_command == "diff":
-        import json as _json
-
         fps = []
         for path in (args.golden, args.current):
             try:
                 fps.append(load_fingerprint(path))
-            except (OSError, ValueError, KeyError, _json.JSONDecodeError) as exc:
+            except (OSError, ValueError, KeyError) as exc:
                 print(f"cannot fingerprint {path}: {exc}", file=sys.stderr)
                 return 2
-        drifts = compare_fingerprints(fps[0], fps[1], _tolerances_from_args(args))
+        drifts = compare_fingerprints(fps[0], fps[1])
         if drifts:
             print(f"DRIFT: {args.current} vs {args.golden}")
             print(format_drift_table(drifts))
             return 1
         print(
-            f"ok: {args.current} matches {args.golden} within tolerances "
+            f"ok: {args.current} matches {args.golden} exactly "
             f"({fps[0].algorithm}, {fps[0].num_levels} levels, "
             f"Q={fps[0].final_modularity:.4f})"
         )
@@ -922,15 +871,13 @@ def _cmd_trace(args) -> int:
         return 0
 
     # compare
-    tol = _tolerances_from_args(args)
-
     total_drift = 0
     for name in names:
         spec = GOLDEN_BENCHMARKS[name]
         path = golden_path(spec, directory)
         try:
             drifts = compare_golden(
-                spec, path, tol, perturb_p1=args.perturb_p1,
+                spec, path, perturb_p1=args.perturb_p1,
                 backend=args.backend, execution=args.execution,
             )
         except OSError as exc:

@@ -51,17 +51,11 @@ on Python >= 3.11, falling back to the same built-in subset parser, and
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
-from ..bench.config import parse_toml_subset
-
-try:  # Python >= 3.11
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on 3.10 CI only
-    tomllib = None  # type: ignore[assignment]
+from ..bench.config import read_config_file
 
 __all__ = [
     "LoadConfigError",
@@ -154,15 +148,7 @@ class Scenario:
 
 def load_scenario(path: str) -> Scenario:
     """Load and validate a scenario file (TOML unless the path ends .json)."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    if path.endswith(".json"):
-        data = json.loads(text)
-    elif tomllib is not None:
-        data = tomllib.loads(text)
-    else:  # pragma: no cover - 3.10 fallback, tested for parity in bench
-        data = parse_toml_subset(text)
-    return parse_scenario(data)
+    return parse_scenario(read_config_file(path))
 
 
 def parse_scenario(data: Mapping[str, Any]) -> Scenario:

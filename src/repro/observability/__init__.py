@@ -15,8 +15,8 @@ The subsystem has six pieces:
   per-phase breakdown tables from a recorded trace (``repro report``);
 * :mod:`repro.observability.golden` -- the golden-trace regression gate
   (``repro trace record`` / ``repro trace compare``): convergence/phase
-  fingerprints with wall-clock noise projected out, compared under
-  configurable tolerances against checked-in goldens.
+  fingerprints with wall-clock noise projected out, compared exactly
+  against checked-in goldens.
 
 Algorithms accept ``tracer=`` and emit through it; the runtime's
 :class:`~repro.runtime.profiler.PhaseProfiler` bridges its phase stack onto
@@ -57,7 +57,6 @@ from .golden import (
     GoldenSpec,
     LevelFingerprint,
     RunFingerprint,
-    Tolerances,
     compare_fingerprints,
     compare_golden,
     fingerprint_events,
@@ -127,7 +126,6 @@ __all__ = [
     "RunFingerprint",
     "LevelFingerprint",
     "fingerprint_events",
-    "Tolerances",
     "Drift",
     "compare_fingerprints",
     "format_drift_table",

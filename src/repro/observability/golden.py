@@ -6,15 +6,15 @@ volumes (Figs. 4, 7, 8).  A commit can silently change all of them while the
 tier-1 tests stay green.  This module turns a recorded JSONL trace into a
 stable :class:`RunFingerprint` -- the convergence/phase signal with
 wall-clock noise (timestamps, span durations) projected out -- and compares
-fingerprints under configurable :class:`Tolerances`:
+fingerprints exactly:
 
 * ``repro trace record`` runs each registered benchmark
   (:data:`GOLDEN_BENCHMARKS`: LFR, R-MAT and a Table-I social proxy) through
   a **streaming** :class:`~repro.observability.sinks.JsonlWriterSink` and
   checks the golden trace in under ``benchmarks/goldens/``;
 * ``repro trace compare`` re-runs the benchmarks, fingerprints both streams
-  and exits non-zero with a human-readable drift table when the current run
-  leaves the tolerance envelope (the CI gate).
+  and exits non-zero with a human-readable drift table when any field of the
+  current run differs from the golden (the CI gate).
 
 What goes into a fingerprint (and what deliberately does not):
 
@@ -31,7 +31,6 @@ dropped                ``ts`` timestamps, span durations, event sequence
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -43,7 +42,6 @@ __all__ = [
     "LevelFingerprint",
     "RunFingerprint",
     "fingerprint_events",
-    "Tolerances",
     "Drift",
     "compare_fingerprints",
     "format_drift_table",
@@ -76,31 +74,6 @@ class LevelFingerprint:
     dq_threshold: tuple[float, ...]
     modularity: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "level": self.level,
-            "num_vertices": self.num_vertices,
-            "iterations": self.iterations,
-            "movers": list(self.movers),
-            "candidates": list(self.candidates),
-            "epsilon": list(self.epsilon),
-            "dq_threshold": list(self.dq_threshold),
-            "modularity": self.modularity,
-        }
-
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "LevelFingerprint":
-        return LevelFingerprint(
-            level=int(d["level"]),
-            num_vertices=int(d["num_vertices"]),
-            iterations=int(d["iterations"]),
-            movers=tuple(int(x) for x in d["movers"]),
-            candidates=tuple(int(x) for x in d["candidates"]),
-            epsilon=tuple(float(x) for x in d["epsilon"]),
-            dq_threshold=tuple(float(x) for x in d["dq_threshold"]),
-            modularity=float(d["modularity"]),
-        )
-
 
 @dataclass(frozen=True)
 class RunFingerprint:
@@ -117,38 +90,6 @@ class RunFingerprint:
     superstep_volumes: dict[str, tuple[int, int, int, int]] = field(
         default_factory=dict
     )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "algorithm": self.algorithm,
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "num_ranks": self.num_ranks,
-            "num_levels": self.num_levels,
-            "final_modularity": self.final_modularity,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "superstep_volumes": {
-                k: list(v) for k, v in sorted(self.superstep_volumes.items())
-            },
-        }
-
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "RunFingerprint":
-        return RunFingerprint(
-            algorithm=str(d["algorithm"]),
-            num_vertices=int(d["num_vertices"]),
-            num_edges=int(d["num_edges"]),
-            num_ranks=None if d.get("num_ranks") is None else int(d["num_ranks"]),
-            num_levels=int(d["num_levels"]),
-            final_modularity=float(d["final_modularity"]),
-            levels=tuple(
-                LevelFingerprint.from_dict(lv) for lv in d.get("levels", [])
-            ),
-            superstep_volumes={
-                str(k): tuple(int(x) for x in v)  # type: ignore[misc]
-                for k, v in dict(d.get("superstep_volumes", {})).items()
-            },
-        )
 
 
 def fingerprint_events(events: Iterable[TraceEvent]) -> RunFingerprint:
@@ -237,118 +178,56 @@ def fingerprint_events(events: Iterable[TraceEvent]) -> RunFingerprint:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Drift envelope for fingerprint comparison.
-
-    Identical re-runs are bitwise-deterministic, so the defaults are tight;
-    the relative slacks absorb last-ulp float differences across numpy
-    versions rather than real behavioral drift.  ``iterations_abs=0`` is the
-    headline gate: an iteration-count change is exactly the regression the
-    paper's convergence claims cannot tolerate silently.
-    """
-
-    iterations_abs: int = 0
-    levels_abs: int = 0
-    movers_rel: float = 0.02
-    candidates_rel: float = 0.02
-    epsilon_abs: float = 1e-9
-    dq_rel: float = 1e-6
-    modularity_abs: float = 1e-6
-    records_rel: float = 0.02
-    supersteps_abs: int = 0
-
-
-@dataclass(frozen=True)
 class Drift:
-    """One tolerance violation between golden and current fingerprints."""
+    """One field whose value differs between golden and current fingerprints."""
 
     where: str  # e.g. "level 0 iter 3" or "superstep REFINE/UPDATE"
     metric: str
     golden: Any
     current: Any
-    tolerance: str
 
     def format(self) -> str:
         return (
             f"{self.where}: {self.metric} drifted "
-            f"{self.golden!r} -> {self.current!r} (tol {self.tolerance})"
+            f"{self.golden!r} -> {self.current!r}"
         )
 
 
-def _rel_exceeds(a: float, b: float, rel: float) -> bool:
-    scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) > rel * scale
-
-
 def compare_fingerprints(
-    golden: RunFingerprint,
-    current: RunFingerprint,
-    tol: Tolerances | None = None,
+    golden: RunFingerprint, current: RunFingerprint
 ) -> list[Drift]:
-    """All tolerance violations of ``current`` against ``golden``."""
-    tol = tol if tol is not None else Tolerances()
+    """Every field of ``current`` that differs from ``golden``.
+
+    The comparison is exact: identical runs are bitwise-deterministic on
+    both backends and both schedulers, so any difference -- one ulp in an
+    ε, one mover, one record -- is drift.
+    """
     drifts: list[Drift] = []
 
-    def drift(where: str, metric: str, g: Any, c: Any, t: str) -> None:
-        drifts.append(Drift(where, metric, g, c, t))
-
-    if golden.algorithm != current.algorithm:
-        drift("run", "algorithm", golden.algorithm, current.algorithm, "exact")
-    for attr in ("num_vertices", "num_edges", "num_ranks"):
-        g, c = getattr(golden, attr), getattr(current, attr)
+    def check(where: str, metric: str, g: Any, c: Any) -> None:
         if g != c:
-            drift("run", attr, g, c, "exact")
-    if abs(golden.num_levels - current.num_levels) > tol.levels_abs:
-        drift("run", "num_levels", golden.num_levels, current.num_levels,
-              f"abs<={tol.levels_abs}")
-    if abs(golden.final_modularity - current.final_modularity) > tol.modularity_abs:
-        drift("run", "final_modularity", golden.final_modularity,
-              current.final_modularity, f"abs<={tol.modularity_abs:g}")
+            drifts.append(Drift(where, metric, g, c))
+
+    for attr in ("algorithm", "num_vertices", "num_edges", "num_ranks",
+                 "num_levels", "final_modularity"):
+        check("run", attr, getattr(golden, attr), getattr(current, attr))
 
     cur_levels = {lv.level: lv for lv in current.levels}
     for g_lv in golden.levels:
         where = f"level {g_lv.level}"
         c_lv = cur_levels.pop(g_lv.level, None)
         if c_lv is None:
-            drift(where, "present", True, False, "exact")
+            check(where, "present", True, False)
             continue
-        if g_lv.num_vertices != c_lv.num_vertices:
-            drift(where, "num_vertices", g_lv.num_vertices, c_lv.num_vertices,
-                  "exact")
-        if abs(g_lv.iterations - c_lv.iterations) > tol.iterations_abs:
-            drift(where, "iterations", g_lv.iterations, c_lv.iterations,
-                  f"abs<={tol.iterations_abs}")
-        if abs(g_lv.modularity - c_lv.modularity) > tol.modularity_abs:
-            drift(where, "modularity", g_lv.modularity, c_lv.modularity,
-                  f"abs<={tol.modularity_abs:g}")
-        pairs = [
-            ("movers", g_lv.movers, c_lv.movers, tol.movers_rel, "rel"),
-            ("candidates", g_lv.candidates, c_lv.candidates,
-             tol.candidates_rel, "rel"),
-            ("epsilon", g_lv.epsilon, c_lv.epsilon, tol.epsilon_abs, "abs"),
-            ("dq_threshold", g_lv.dq_threshold, c_lv.dq_threshold,
-             tol.dq_rel, "rel"),
-        ]
-        for metric, g_seq, c_seq, t, mode in pairs:
-            n = min(len(g_seq), len(c_seq))
-            if len(g_seq) != len(c_seq):
-                # Only report when the iteration gate didn't already catch it.
-                if abs(len(g_seq) - len(c_seq)) > tol.iterations_abs:
-                    drift(f"{where}", f"len({metric})", len(g_seq),
-                          len(c_seq), f"abs<={tol.iterations_abs}")
-            for i in range(n):
-                g_v, c_v = float(g_seq[i]), float(c_seq[i])
-                if mode == "abs":
-                    bad = abs(g_v - c_v) > t
-                    desc = f"abs<={t:g}"
-                else:
-                    bad = _rel_exceeds(g_v, c_v, t)
-                    desc = f"rel<={t:g}"
-                if bad:
-                    drift(f"{where} iter {i + 1}", metric, g_seq[i],
-                          c_seq[i], desc)
+        for attr in ("num_vertices", "iterations", "modularity"):
+            check(where, attr, getattr(g_lv, attr), getattr(c_lv, attr))
+        for metric in ("movers", "candidates", "epsilon", "dq_threshold"):
+            g_seq, c_seq = getattr(g_lv, metric), getattr(c_lv, metric)
+            check(where, f"len({metric})", len(g_seq), len(c_seq))
+            for i, (g_v, c_v) in enumerate(zip(g_seq, c_seq)):
+                check(f"{where} iter {i + 1}", metric, g_v, c_v)
     for lvl in sorted(cur_levels):
-        drift(f"level {lvl}", "present", False, True, "exact")
+        check(f"level {lvl}", "present", False, True)
 
     phases = sorted(set(golden.superstep_volumes) | set(current.superstep_volumes))
     for phase in phases:
@@ -356,15 +235,11 @@ def compare_fingerprints(
         g_v = golden.superstep_volumes.get(phase)
         c_v = current.superstep_volumes.get(phase)
         if g_v is None or c_v is None:
-            drift(where, "present", g_v is not None, c_v is not None, "exact")
+            check(where, "present", g_v is not None, c_v is not None)
             continue
-        if abs(g_v[0] - c_v[0]) > tol.supersteps_abs:
-            drift(where, "supersteps", g_v[0], c_v[0],
-                  f"abs<={tol.supersteps_abs}")
-        for metric, idx in (("records", 1), ("messages", 2), ("bytes", 3)):
-            if _rel_exceeds(float(g_v[idx]), float(c_v[idx]), tol.records_rel):
-                drift(where, metric, g_v[idx], c_v[idx],
-                      f"rel<={tol.records_rel:g}")
+        for metric, g, c in zip(("supersteps", "records", "messages", "bytes"),
+                                g_v, c_v):
+            check(where, metric, g, c)
     return drifts
 
 
@@ -380,9 +255,8 @@ def format_drift_table(drifts: Sequence[Drift]) -> str:
         return str(v)
 
     return format_table(
-        ["where", "metric", "golden", "current", "tolerance"],
-        [[d.where, d.metric, cell(d.golden), cell(d.current), d.tolerance]
-         for d in drifts],
+        ["where", "metric", "golden", "current"],
+        [[d.where, d.metric, cell(d.golden), cell(d.current)] for d in drifts],
         title=f"Golden-trace drift ({len(drifts)} violation(s))",
     )
 
@@ -552,10 +426,10 @@ def run_spec(
     ``execution`` ("simulated" or "process") selects the runtime for the
     parallel-family benchmarks (``algorithm="parallel"`` and the dynamic
     warm-start specs); sequential and naive runs ignore it, the same way
-    they ignore ``backend``.  ``execution="process"`` implies
-    ``backend="vector"`` unless a backend was given explicitly, and
-    comparing a process re-run against the recorded goldens at zero
-    tolerance is the SPMD-equivalence gate for the multi-process runtime.
+    they ignore ``backend``.  Under ``execution="process"`` the config
+    defaults to ``backend="vector"``, and comparing a process re-run
+    against the recorded goldens is the SPMD-equivalence gate for the
+    multi-process runtime.
     """
     from ..parallel import ExponentialSchedule, detect_communities
     from .tracer import Tracer
@@ -570,8 +444,6 @@ def run_spec(
         backend_kwargs["backend"] = backend
     if execution is not None and parallel_family:
         backend_kwargs["execution"] = execution
-        if execution == "process":
-            backend_kwargs.setdefault("backend", "vector")
     graph = spec.build_graph()
     tracer = Tracer(sink=sink, buffer=sink is None)
     if spec.dynamic is not None:
@@ -624,7 +496,6 @@ def record_golden(spec: GoldenSpec, path: str) -> int:
 def compare_golden(
     spec: GoldenSpec,
     path: str,
-    tol: Tolerances | None = None,
     *,
     perturb_p1: float = 1.0,
     backend: str | None = None,
@@ -638,14 +509,11 @@ def compare_golden(
         spec, perturb_p1=perturb_p1, backend=backend, execution=execution
     )
     current_fp = fingerprint_events(tracer.events)
-    return compare_fingerprints(golden_fp, current_fp, tol)
+    return compare_fingerprints(golden_fp, current_fp)
 
 
 def load_fingerprint(path: str) -> RunFingerprint:
-    """Fingerprint of a recorded JSONL trace (or a ``.fingerprint.json``)."""
-    if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return RunFingerprint.from_dict(json.load(fh))
+    """Fingerprint of a recorded JSONL trace."""
     from .exporters import iter_jsonl
 
     return fingerprint_events(iter_jsonl(path))

@@ -115,8 +115,8 @@ def detect_communities(
     config_overrides:
         Extra :class:`ParallelLouvainConfig` fields (``max_inner`` etc.).
         ``execution="process"`` selects the true multi-process SPMD runtime
-        (``algorithm="parallel"`` only; implies ``backend="vector"`` unless
-        one was chosen explicitly).
+        (``algorithm="parallel"`` only; the config then defaults to
+        ``backend="vector"``).
     """
     if trace_stream:
         if trace_path is None:
@@ -160,10 +160,6 @@ def detect_communities(
             raise TypeError(
                 "execution='process' is only supported for algorithm='parallel'"
             )
-        # Process mode requires flat CSR rank state; pick the vector backend
-        # unless the caller chose one explicitly (a bad explicit choice gets
-        # the config's own descriptive error).
-        config_overrides.setdefault("backend", "vector")
     cfg = ParallelLouvainConfig(
         num_ranks=num_ranks,
         schedule=schedule if schedule is not None else ExponentialSchedule(),

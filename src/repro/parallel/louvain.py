@@ -76,8 +76,9 @@ class ParallelLouvainConfig:
     #: Execution backend: ``"hash"`` is the paper-faithful EdgeHashTable
     #: path; ``"vector"`` runs the same supersteps over flat CSR arrays
     #: (:mod:`repro.parallel.vectorized`), converging identically but an
-    #: order of magnitude faster.
-    backend: str = "hash"
+    #: order of magnitude faster.  Left unset it resolves to ``"vector"``
+    #: under ``execution="process"`` and to ``"hash"`` otherwise.
+    backend: str | None = None
     #: Execution mode: ``"simulated"`` runs every rank in this process over
     #: the simulated bus; ``"process"`` forks one OS process per rank with
     #: rank state in shared memory and byte-level alltoallv
@@ -90,6 +91,11 @@ class ParallelLouvainConfig:
             raise ValueError("need at least one rank")
         if self.max_inner < 1 or self.max_levels < 1:
             raise ValueError("iteration limits must be positive")
+        if self.backend is None:
+            object.__setattr__(
+                self, "backend",
+                "vector" if self.execution == "process" else "hash",
+            )
         if self.backend not in ("hash", "vector"):
             raise ValueError(
                 f"unknown backend {self.backend!r}; choose 'hash' "

@@ -21,8 +21,8 @@ instances and pays per-record probe chains, this backend keeps
 The backend drives the *identical* superstep sequence with the identical
 logical records -- same exchanges, same request sets, same record counts --
 so a golden trace recorded under ``backend="hash"`` gates this backend
-within the standard tolerances (exact on unweighted graphs, where every
-floating-point reduction here is order-insensitive).
+exactly, weighted graphs included: every weight sum folds in the hash
+path's arrival order, so the results are bitwise equal.
 
 Community/vertex ids are combined into ``int64`` keys via ``v * n + u``
 instead of the hash path's Eq.-5 bit packing; the width precondition

@@ -197,14 +197,16 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
         if sink is not None:
             tracer.close()
     except BaseException:
-        # Break the barrier first so peers error out instead of hanging,
-        # then report; the parent turns this into ProcessExecutionError.
+        # Report first, so this rank's error is queued ahead of the "barrier
+        # broken" errors of the peers it wakes, then break the barrier so
+        # they error out instead of hanging; the parent turns the first
+        # report into ProcessExecutionError.
         try:
-            ctx.bus.abort()
+            ctx.result_queue.put(("error", rank, traceback.format_exc()))
         except Exception:
             pass
         try:
-            ctx.result_queue.put(("error", rank, traceback.format_exc()))
+            ctx.bus.abort()
         except Exception:
             pass
         if sink is not None:

@@ -38,10 +38,12 @@ Backpressure: when the job queue is full, POSTs return **503** with a
 dropping the job -- the submitter decides whether to retry.
 
 Size limits: a ``Content-Length`` above ``MAX_BODY_BYTES`` answers **413**
-(and closes the connection) before the body is read; a graph or edge batch
-naming more than ``MAX_GRAPH_VERTICES`` vertices answers **400** before any
-graph is allocated.  Both count in ``service_requests_rejected_too_large``.
-Every other malformed body answers 400.
+(and closes the connection) before the body is read; a graph (JSON or plain
+text) or edge batch naming more than ``MAX_GRAPH_VERTICES`` vertices, or a
+job asking for more than ``MAX_JOB_RANKS`` ranks, answers **400** before
+anything is allocated.  All of these count in
+``service_requests_rejected_too_large``.  Every other malformed body
+(including ``num_ranks`` below 1) answers 400.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .workers import DetectionService
 
 __all__ = [
     "ServiceServer", "run_server", "MAX_LONGPOLL_WAIT", "MAX_BODY_BYTES",
-    "MAX_GRAPH_VERTICES",
+    "MAX_GRAPH_VERTICES", "MAX_JOB_RANKS",
 ]
 
 #: Upper bound on ``GET /jobs/<id>?wait=`` -- each long-poll parks one
@@ -72,6 +74,9 @@ MAX_BODY_BYTES = 64 * 2**20
 
 #: Largest vertex count a graph body or edge batch may name (2^22).
 MAX_GRAPH_VERTICES = 2**22
+
+#: Most simulated ranks a job may ask for; each is a rank state in a worker.
+MAX_JOB_RANKS = 256
 
 #: Malformed JSON values: int("x"), int([]), int(float("inf")), ...
 _VALUE_ERRORS = (TypeError, ValueError, OverflowError)
@@ -103,6 +108,15 @@ def _number(doc: dict, key: str, kind=int):
         return kind(doc[key])
     except _VALUE_ERRORS as exc:
         raise _BadRequest(f"{key}: {exc}") from None
+
+
+def _num_ranks(doc: dict) -> int:
+    num_ranks = _number(doc, "num_ranks")
+    if num_ranks < 1:
+        raise _BadRequest("num_ranks must be at least 1")
+    if num_ranks > MAX_JOB_RANKS:
+        raise _TooLarge(f"num_ranks {num_ranks} exceeds {MAX_JOB_RANKS}")
+    return num_ranks
 
 
 def _parse_edge_rows(rows, what: str):
@@ -146,14 +160,14 @@ def _parse_edge_rows(rows, what: str):
 
 
 def _graph_from_body(body: bytes, content_type: str):
-    from ..graph import Graph, read_edge_list
+    from ..graph import Graph
 
+    num_vertices = None
     if "json" in content_type:
         doc = _json_doc(body)
         if not isinstance(doc, dict) or "edges" not in doc:
             raise _BadRequest('JSON graph body needs an "edges" array')
-        src, dst, wt = _parse_edge_rows(doc["edges"], "edges")
-        num_vertices = None
+        rows = doc["edges"]
         if doc.get("num_vertices") is not None:
             num_vertices = _number(doc, "num_vertices")
             if num_vertices < 0:
@@ -162,19 +176,22 @@ def _graph_from_body(body: bytes, content_type: str):
                 raise _TooLarge(
                     f"num_vertices {num_vertices} exceeds {MAX_GRAPH_VERTICES}"
                 )
+    else:
+        # The plain-text edge-list format `repro detect` reads: `src dst
+        # [weight]` lines, `#` comments.  Its rows pass the same id checks.
         try:
-            graph = Graph.from_edges(src, dst, wt, num_vertices=num_vertices)
-        except ValueError as exc:
-            raise _BadRequest(str(exc)) from exc
-        return graph, doc
-    # Fall back to the plain-text edge-list format `repro detect` reads.
-    import io
-
+            lines = body.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise _BadRequest(f"cannot parse edge-list body: {exc}") from exc
+        rows = [ln.split() for ln in lines
+                if ln.strip() and not ln.lstrip().startswith("#")]
+        doc = {}
+    src, dst, wt = _parse_edge_rows(rows, "edges")
     try:
-        graph = read_edge_list(io.StringIO(body.decode("utf-8")))
-    except (ValueError, OverflowError) as exc:  # incl. UnicodeDecodeError
-        raise _BadRequest(f"cannot parse edge-list body: {exc}") from exc
-    return graph, {}
+        graph = Graph.from_edges(src, dst, wt, num_vertices=num_vertices)
+    except ValueError as exc:
+        raise _BadRequest(str(exc)) from exc
+    return graph, doc
 
 
 def _batch_from_body(body: bytes):
@@ -416,9 +433,13 @@ class _Handler(BaseHTTPRequestHandler):
             graph, doc = _graph_from_body(
                 self._body(), self.headers.get("Content-Type", "application/json")
             )
-            detect_opts = {
-                k: doc[k] for k in ("algorithm", "num_ranks", "seed") if k in doc
-            }
+            detect_opts = {}
+            if "algorithm" in doc:
+                detect_opts["algorithm"] = doc["algorithm"]
+            if "num_ranks" in doc:
+                detect_opts["num_ranks"] = _num_ranks(doc)
+            if "seed" in doc:
+                detect_opts["seed"] = _number(doc, "seed")
             job = self.service.submit_graph(
                 graph, **_job_options(doc), **detect_opts
             )
@@ -429,7 +450,7 @@ class _Handler(BaseHTTPRequestHandler):
             batch, doc = _batch_from_body(self._body())
             update_opts = {}
             if "num_ranks" in doc:
-                update_opts["num_ranks"] = _number(doc, "num_ranks")
+                update_opts["num_ranks"] = _num_ranks(doc)
             base = doc.get("base_version")
             job = self.service.submit_edge_batch(
                 batch,

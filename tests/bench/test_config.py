@@ -179,6 +179,21 @@ class TestTomlSubsetParser:
         text = path.read_text()
         assert parse_toml_subset(text) == tomllib.loads(text)
 
+    def test_files_load_without_tomllib(self, monkeypatch):
+        """Matrix and scenario files share one reader and its 3.10 path."""
+        import repro.bench.config as config_mod
+        from repro.loadgen import load_scenario
+
+        tomllib = pytest.importorskip("tomllib")
+        matrix = MATRICES / "smoke.toml"
+        scenario = MATRICES.parent / "load" / "smoke_service.toml"
+        expected = (load_config(str(matrix)), load_scenario(str(scenario)))
+        monkeypatch.setattr(config_mod, "tomllib", None)
+        assert config_mod.read_config_file(str(matrix)) == tomllib.loads(
+            matrix.read_text()
+        )
+        assert (load_config(str(matrix)), load_scenario(str(scenario))) == expected
+
     def test_scalars_and_inline_tables(self):
         data = parse_toml_subset(
             'a = 1\nb = 2.5\nc = true\nd = "s"\n'

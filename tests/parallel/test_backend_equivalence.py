@@ -12,8 +12,8 @@ Three layers of evidence:
 * property-based: random small graphs, every rank count, both backends,
   bitwise-equal results;
 * fingerprint: the full observability fingerprint (per-level iteration
-  counts, movers, epsilon, per-phase superstep records/bytes) is equal at
-  zero tolerance;
+  counts, movers, epsilon, per-phase superstep records/bytes) compares
+  exactly equal;
 * sanitizer: the runtime invariant sanitizer stays green under the vector
   backend on the same graphs.
 """
@@ -24,17 +24,8 @@ from hypothesis import strategies as st
 
 from repro.graph import Graph
 from repro.observability import Tracer
-from repro.observability.golden import Tolerances, compare_fingerprints, fingerprint_events
+from repro.observability.golden import compare_fingerprints, fingerprint_events
 from repro.parallel import parallel_louvain
-
-EXACT = Tolerances(
-    movers_rel=0.0,
-    candidates_rel=0.0,
-    epsilon_abs=0.0,
-    dq_rel=0.0,
-    modularity_abs=0.0,
-    records_rel=0.0,
-)
 
 
 @st.composite
@@ -81,7 +72,7 @@ def test_fingerprints_identical_at_zero_tolerance(graph, num_ranks):
         tracer = Tracer()
         _run(graph, num_ranks, backend, tracer=tracer)
         traces[backend] = fingerprint_events(tracer.events)
-    drifts = compare_fingerprints(traces["hash"], traces["vector"], EXACT)
+    drifts = compare_fingerprints(traces["hash"], traces["vector"])
     assert not drifts, "\n".join(str(d) for d in drifts)
 
 

@@ -3,12 +3,13 @@
 The process runtime's correctness claim mirrors the vector backend's:
 *trajectory equivalence* with the simulated bus, bitwise, for any input --
 identical membership, modularity, per-phase counters, and observability
-fingerprints at zero tolerance.  On top of that it owns real OS resources,
+fingerprints that compare exactly equal.  On top of that it owns real OS resources,
 so the tests also pin the hygiene properties: a crashed worker surfaces a
 descriptive error instead of hanging the barrier, shared-memory segments
 are unlinked on success *and* failure, and rank payloads are never pickled.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.graph import Graph
 from repro.observability import ListSink, Tracer
 from repro.observability.golden import (
     GOLDEN_BENCHMARKS,
-    Tolerances,
     compare_fingerprints,
     fingerprint_events,
 )
@@ -33,16 +33,6 @@ from repro.parallel import (
 from repro.runtime import SharedMemoryBus, leaked_segments, publish_arrays
 from repro.runtime.process import ProcessExecutionError
 from repro.runtime.shm import ManifestReader, ShmBlock
-
-EXACT = Tolerances(
-    movers_rel=0.0,
-    candidates_rel=0.0,
-    epsilon_abs=0.0,
-    dq_rel=0.0,
-    modularity_abs=0.0,
-    records_rel=0.0,
-)
-
 
 @pytest.fixture(scope="module")
 def lfr300():
@@ -106,7 +96,7 @@ class TestTrajectoryEquivalence:
             parallel_louvain(lfr300, cfg, tracer=tracer, sanitize=True)
             tracer.close()
             fps[execution] = fingerprint_events(sink.events)
-        drifts = compare_fingerprints(fps["simulated"], fps["process"], EXACT)
+        drifts = compare_fingerprints(fps["simulated"], fps["process"])
         assert not drifts, "\n".join(str(d) for d in drifts)
 
     def test_warm_start_and_reorder_seed(self, lfr300):
@@ -179,19 +169,16 @@ def test_differential_sweep_simulated_vs_process(graph, num_ranks):
 class TestGoldens:
     def test_all_goldens_exact_under_process(self):
         # The acceptance gate: every checked-in golden trace reproduces
-        # bitwise (all tolerances zero) when the parallel-family benchmarks
+        # bitwise (the comparison is exact) when the parallel-family benchmarks
         # run as true SPMD worker processes.
         from pathlib import Path
 
         from repro.observability.golden import compare_golden, golden_path
 
         goldens = str(Path(__file__).parents[2] / "benchmarks" / "goldens")
-        zero = Tolerances(
-            **{f.name: 0 for f in Tolerances.__dataclass_fields__.values()}
-        )
         for name, spec in GOLDEN_BENCHMARKS.items():
             path = golden_path(spec, goldens)
-            drifts = compare_golden(spec, path, zero, execution="process")
+            drifts = compare_golden(spec, path, execution="process")
             assert not drifts, f"{name}: " + "\n".join(str(d) for d in drifts)
 
 
@@ -213,6 +200,12 @@ class TestFailureHandling:
     def test_config_rejects_process_with_hash_backend(self):
         with pytest.raises(ValueError, match="backend='vector'"):
             ParallelLouvainConfig(execution="process", backend="hash")
+
+    def test_config_backend_follows_execution(self):
+        assert ParallelLouvainConfig().backend == "hash"
+        cfg = ParallelLouvainConfig(execution="process")
+        assert cfg.backend == "vector"
+        assert dataclasses.replace(cfg, num_ranks=2).backend == "vector"
 
     def test_config_rejects_unknown_execution(self):
         with pytest.raises(ValueError, match="execution"):

@@ -1,6 +1,6 @@
 """Hostile request bodies: client errors answer 4xx, never 5xx, and the
-request-size and graph-size limits reject before anything large is read or
-allocated."""
+request-size, graph-size and rank-count limits reject before anything large
+is read or allocated."""
 
 import http.client
 import json
@@ -13,14 +13,14 @@ from repro.service import DetectionService, ServiceServer
 from repro.service import server as server_mod
 
 
-def _post(srv, path, body):
+def _post(srv, path, body, content_type="application/json"):
     """POST ``body`` (raw bytes or JSON-encodable) -> (status, headers, doc)."""
     data = body if isinstance(body, bytes) else json.dumps(body).encode()
     host, port = srv.server_address[:2]
     conn = http.client.HTTPConnection(host, port, timeout=10)
     try:
         conn.request("POST", path, body=data,
-                     headers={"Content-Type": "application/json"})
+                     headers={"Content-Type": content_type})
         resp = conn.getresponse()
         doc = json.loads(resp.read())
     finally:
@@ -108,8 +108,40 @@ class TestSizeLimits:
         status, _, doc = _post(server, path, body)
         assert status == 400 and "vertex id" in doc["error"]
 
+    @pytest.mark.parametrize("body", [
+        b"0 100\n",
+        b"# comment\n0 1\n\n1 2 0.5\n2 5000\n",
+        b"7 0 2.0\n0 99999999999999999999999\n",
+    ], ids=["one-edge", "after-comments", "past-int64"])
+    def test_text_body_ids_past_the_limit(self, server, monkeypatch, body):
+        monkeypatch.setattr(server_mod, "MAX_GRAPH_VERTICES", 100)
+        ok, _, doc = _post(
+            server, "/graph", b"# c\n0 1\n1 99 2.5\n", content_type="text/plain"
+        )
+        assert ok == 202 and doc["num_vertices"] == 100 and doc["num_edges"] == 2
+        status, _, doc = _post(server, "/graph", body, content_type="text/plain")
+        assert status == 400 and "vertex id" in doc["error"]
+
+    @pytest.mark.parametrize("path, body, status", [
+        ("/graph", {"edges": [[0, 1]], "num_ranks": 8, "seed": "3"}, 202),
+        ("/graph", {"edges": [[0, 1]], "num_ranks": 1}, 202),
+        ("/edges", {"add": [[0, 1]], "num_ranks": 8}, 202),
+        ("/graph", {"edges": [[0, 1]], "num_ranks": 0}, 400),
+        ("/graph", {"edges": [[0, 1]], "num_ranks": 9}, 400),
+        ("/graph", {"edges": [[0, 1]], "num_ranks": 10**9}, 400),
+        ("/graph", {"edges": [[0, 1]], "num_ranks": "many"}, 400),
+        ("/graph", {"edges": [[0, 1]], "seed": [1]}, 400),
+        ("/edges", {"add": [[0, 1]], "num_ranks": -1}, 400),
+        ("/edges", {"add": [[0, 1]], "num_ranks": 9}, 400),
+    ])
+    def test_job_option_bounds(self, server, monkeypatch, path, body, status):
+        monkeypatch.setattr(server_mod, "MAX_JOB_RANKS", 8)
+        got, _, doc = _post(server, path, body)
+        assert got == status, doc
+
     def test_rejections_are_counted(self, server, monkeypatch):
         monkeypatch.setattr(server_mod, "MAX_GRAPH_VERTICES", 10)
+        monkeypatch.setattr(server_mod, "MAX_JOB_RANKS", 8)
 
         def count():
             for line in _metrics(server).splitlines():
@@ -120,8 +152,11 @@ class TestSizeLimits:
         before = count()
         _post(server, "/graph", {"edges": [], "num_vertices": 11})
         _post(server, "/edges", {"add": [[0, 10]]})
+        _post(server, "/graph", b"0 10\n", content_type="text/plain")
+        _post(server, "/graph", {"edges": [[0, 1]], "num_ranks": 9})
         _post(server, "/graph", {"edges": [[0, "x"]]})  # malformed, not large
-        assert count() == before + 2
+        _post(server, "/graph", {"edges": [[0, 1]], "num_ranks": 0})  # ditto
+        assert count() == before + 4
 
 
 _scalars = (

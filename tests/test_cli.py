@@ -412,7 +412,7 @@ class TestTraceDiff:
         b = self._write_trace(tmp_path / "b.jsonl")
         rc = main(["trace", "diff", str(a), str(b)])
         assert rc == 0
-        assert "within tolerances" in capsys.readouterr().out
+        assert "matches" in capsys.readouterr().out
 
     def test_drifting_traces_exit_1_with_table(self, tmp_path, capsys):
         a = self._write_trace(tmp_path / "a.jsonl", modularity=0.4)
@@ -422,15 +422,22 @@ class TestTraceDiff:
         out = capsys.readouterr().out
         assert "DRIFT" in out and "modularity" in out
 
-    def test_tolerance_flags_are_honoured(self, tmp_path, capsys):
-        a = self._write_trace(tmp_path / "a.jsonl", movers=6)
-        b = self._write_trace(tmp_path / "b.jsonl", movers=7)
-        assert main(["trace", "diff", str(a), str(b)]) == 1
-        capsys.readouterr()
-        rc = main([
-            "trace", "diff", str(a), str(b), "--movers-tol", "0.5",
-        ])
-        assert rc == 0
+    def test_one_ulp_modularity_drift_exit_1(self, tmp_path, capsys):
+        import math
+
+        a = self._write_trace(tmp_path / "a.jsonl", modularity=0.4)
+        b = self._write_trace(
+            tmp_path / "b.jsonl", modularity=math.nextafter(0.4, 1.0)
+        )
+        rc = main(["trace", "diff", str(a), str(b)])
+        assert rc == 1
+        assert "final_modularity" in capsys.readouterr().out
+
+    def test_tolerance_flags_rejected(self, tmp_path):
+        a = self._write_trace(tmp_path / "a.jsonl")
+        for flag in (["--exact"], ["--movers-tol", "0.5"]):
+            with pytest.raises(SystemExit):
+                main(["trace", "diff", str(a), str(a), *flag])
 
     def test_unreadable_input_exit_2(self, tmp_path, capsys):
         a = self._write_trace(tmp_path / "a.jsonl")
