@@ -3,7 +3,9 @@
 ``repro bench report`` output: one markdown table, optionally split into
 sections by a factor (``--group-by ranks`` renders one table per rank
 count).  Cells keep the column set small -- medians with dispersion -- and
-point at the CSV for the repetition-level data.
+point at the CSV for the repetition-level data.  A closing table lists the
+seconds each distinct graph took to build (set-up, outside every cell's
+wall time).
 """
 
 from __future__ import annotations
@@ -90,4 +92,18 @@ def format_bench_report(
                 "-" if mem is None else f"{mem['median'] / 1e6:.1f} MB",
             ])
         lines += [format_markdown_table(header, rows), ""]
+    builds = summary.get("graphs", [])
+    if builds:
+        lines += ["## graph set-up", ""]
+        lines.append(format_markdown_table(
+            ["graph", "family", "build_s"],
+            [
+                [
+                    str(b.get("graph", "?")),
+                    str(b.get("spec", {}).get("family", "?")),
+                    f"{b['build_s']:.4g}",
+                ]
+                for b in builds
+            ],
+        ))
     return "\n".join(lines).rstrip() + "\n"

@@ -123,6 +123,9 @@ class MatrixResult:
     cells: list[CellResult]
     environment: dict[str, Any]
     factor_names: list[str]
+    #: One entry per distinct graph built: its name, resolved spec and the
+    #: wall seconds the build took (set-up cost, reported but never gated).
+    graph_builds: list[dict[str, Any]] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------- #
@@ -150,10 +153,7 @@ def _resolve_machine(name: str | None):
         ) from None
 
 
-def _build_graph(spec: dict[str, Any], cache: dict[str, Any]):
-    key = json.dumps(spec, sort_keys=True, default=str)
-    if key in cache:
-        return cache[key]
+def _build_graph(spec: dict[str, Any]):
     params = {k: v for k, v in spec.items() if k not in ("family", "seed")}
     family = spec.get("family")
     seed = int(spec.get("seed", 0))
@@ -179,7 +179,6 @@ def _build_graph(spec: dict[str, Any], cache: dict[str, Any]):
         raise BenchConfigError(
             f"unknown graph family {family!r} (use lfr/rmat/bter/social)"
         )
-    cache[key] = graph
     return graph
 
 
@@ -354,6 +353,7 @@ def run_matrix(
     """
     cells = expand_cells(config)
     graph_cache: dict[str, Any] = {}
+    graph_builds: list[dict[str, Any]] = []
     say = progress if progress is not None else (lambda _msg: None)
     results: list[CellResult] = []
 
@@ -362,7 +362,16 @@ def run_matrix(
         if graph_name is None:
             raise BenchConfigError(f"cell {cell.cell_id!r} names no graph")
         graph_spec = config.resolve_graph(str(graph_name), cell.params)
-        graph = _build_graph(graph_spec, graph_cache)
+        key = json.dumps(graph_spec, sort_keys=True, default=str)
+        if key not in graph_cache:
+            built = time.perf_counter()
+            graph_cache[key] = _build_graph(graph_spec)
+            graph_builds.append({
+                "graph": str(graph_name),
+                "spec": graph_spec,
+                "build_s": time.perf_counter() - built,
+            })
+        graph = graph_cache[key]
         result = CellResult(cell=cell)
         started = time.perf_counter()
 
@@ -423,6 +432,7 @@ def run_matrix(
         cells=results,
         environment=environment_stamp(),
         factor_names=list(config.factors),
+        graph_builds=graph_builds,
     )
 
 
@@ -556,6 +566,7 @@ def build_summary(result: MatrixResult) -> dict[str, Any]:
             "factors": result.config.factors,
         },
         "cells": cells,
+        "graphs": result.graph_builds,
     }
 
 

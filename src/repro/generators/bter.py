@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph import Graph, global_clustering_coefficient
+from .edges import simple_edges
 from .powerlaw import powerlaw_degrees_with_mean
 
 __all__ = ["BTERParams", "BTERGraph", "generate_bter", "calibrate_rho"]
@@ -104,10 +105,7 @@ def generate_bter(
 
     src = np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
     dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    uniq = np.unique(lo * np.int64(n) + hi)
-    src, dst = uniq // n, uniq % n
+    src, dst = simple_edges(src, dst, n)
     graph = Graph.from_edges(src, dst, num_vertices=n)
     return BTERGraph(graph=graph, blocks=blocks, params=params)
 

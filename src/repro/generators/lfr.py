@@ -11,6 +11,13 @@ vertex's edges that leave its community.  Intra- and inter-community edges
 are wired with degree-proportional (Chung-Lu style) sampling, which
 reproduces the expected degree sequence and planted partition without the
 original's slow rewiring loop.
+
+Set-up is whole-array numpy apart from one Chung-Lu draw per community:
+vertices, taken in order of non-increasing intra-degree, fill the
+communities largest first with a single ``np.repeat``, and one stable sort
+by label yields every community's member list, so building a graph costs
+O(n + C) array work for n vertices and C communities rather than a Python
+scan of the communities for every vertex.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph import Graph
+from .edges import simple_edges
 from .powerlaw import powerlaw_degrees_with_mean, sample_powerlaw
 
 __all__ = ["LFRParams", "LFRGraph", "generate_lfr"]
@@ -61,7 +69,13 @@ class LFRGraph:
 
 
 def _draw_community_sizes(rng: np.random.Generator, params: LFRParams) -> np.ndarray:
-    """Community sizes summing exactly to ``num_vertices``."""
+    """Community sizes summing exactly to ``num_vertices``.
+
+    Every size lies in ``[min_community, max_community]``, except when
+    ``num_vertices`` has no split into sizes in that range (say 70 into
+    [16, 17]): then one community of the remaining vertices falls below
+    ``min_community``.
+    """
     sizes: list[int] = []
     total = 0
     n = params.num_vertices
@@ -87,13 +101,39 @@ def _draw_community_sizes(rng: np.random.Generator, params: LFRParams) -> np.nda
         i += 1
         if i == len(sizes):
             if overshoot > 0:  # everything at min size: drop one community
-                dropped = sizes.pop()
-                overshoot -= dropped
-                if overshoot < 0:
-                    sizes.append(-overshoot)
-                    overshoot = 0
+                overshoot -= sizes.pop()
             i = 0
+    if overshoot < 0:
+        # The dropped community took too many vertices with it; every other
+        # community is at min size.  Hand the spare vertices back one at a
+        # time to the communities below max_community.
+        spare = -overshoot
+        room = len(sizes) * (params.max_community - params.min_community)
+        for j in range(min(spare, room)):
+            sizes[j % len(sizes)] += 1
+        if spare > room:  # no split into [min_community, max_community]
+            sizes.append(spare - room)
     return np.array(sizes, dtype=np.int64)
+
+
+def _assign_communities(
+    sizes: np.ndarray, intra_deg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Place vertices in communities; returns labels and clamped intra-degrees.
+
+    Vertices are placed largest intra-degree first, so that the LFR
+    feasibility constraint (intra-degree < community size) holds: in order
+    of non-increasing intra-degree they fill the communities in order of
+    non-increasing size, each community exactly to its size.  A vertex whose
+    intra-degree does not fit its community is clamped to the community's
+    size minus one (the LFR code rewires instead; clamping changes only a
+    handful of hub vertices): no community it could still join is larger.
+    """
+    order = np.argsort(-intra_deg, kind="stable")
+    comm_order = np.argsort(-sizes, kind="stable")
+    labels = np.empty(intra_deg.size, dtype=np.int64)
+    labels[order] = np.repeat(comm_order, sizes[comm_order])
+    return labels, np.minimum(intra_deg, sizes[labels] - 1)
 
 
 def _chung_lu_pairs(
@@ -133,41 +173,21 @@ def generate_lfr(
     sizes = _draw_community_sizes(rng, params)
     num_comm = sizes.size
 
-    # Assign vertices to communities, largest intra-degree first, so that the
-    # LFR feasibility constraint (intra-degree < community size) holds.
     intra_deg = np.minimum(
         np.round((1.0 - params.mixing) * degrees).astype(np.int64), degrees
     )
-    labels = np.full(n, -1, dtype=np.int64)
-    capacity = sizes.copy()
-    order = np.argsort(-intra_deg, kind="stable")
-    comm_order = np.argsort(-sizes, kind="stable")
-    for u in order.tolist():
-        need = intra_deg[u]
-        placed = False
-        for c in comm_order.tolist():
-            if capacity[c] > 0 and sizes[c] > need:
-                labels[u] = c
-                capacity[c] -= 1
-                placed = True
-                break
-        if not placed:
-            # Degree too large for any community: clamp the intra-degree to
-            # the largest feasible community (the LFR code rewires instead;
-            # clamping changes only a handful of hub vertices).
-            c = int(comm_order[np.argmax(capacity[comm_order] > 0)])
-            labels[u] = c
-            capacity[c] -= 1
-            intra_deg[u] = min(intra_deg[u], sizes[c] - 1)
-        # Keep the fill order stable but cheap: re-sort occasionally is not
-        # needed since capacities only shrink.
+    labels, intra_deg = _assign_communities(sizes, intra_deg)
     ext_deg = degrees - intra_deg
 
-    # Intra-community edges: Chung-Lu within each community.
+    # Intra-community edges: Chung-Lu within each community.  One stable
+    # sort by label lists every community's members in ascending id order.
+    by_comm = np.argsort(labels, kind="stable")
+    bounds = np.zeros(num_comm + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
     for c in range(num_comm):
-        members = np.flatnonzero(labels == c)
+        members = by_comm[bounds[c] : bounds[c + 1]]
         w = intra_deg[members].astype(np.float64)
         target = int(w.sum() // 2)
         s, d = _chung_lu_pairs(rng, w, members, target)
@@ -190,14 +210,8 @@ def generate_lfr(
     src_parts.append(s[good])
     dst_parts.append(d[good])
 
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    loops = src == dst
-    src, dst = src[~loops], dst[~loops]
-    # Deduplicate (the benchmark is a simple unweighted graph).
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    uniq = np.unique(lo * np.int64(n) + hi)
-    src, dst = uniq // n, uniq % n
+    src, dst = simple_edges(
+        np.concatenate(src_parts), np.concatenate(dst_parts), n
+    )
     graph = Graph.from_edges(src, dst, num_vertices=n)
     return LFRGraph(graph=graph, ground_truth=labels, params=params)

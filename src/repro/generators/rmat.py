@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph import Graph
+from .edges import simple_edges
 
 __all__ = ["RMATParams", "generate_rmat", "rmat_edge_list"]
 
@@ -92,10 +93,5 @@ def generate_rmat(
     src, dst = rmat_edge_list(params, seed=seed)
     n = np.int64(1) << np.int64(params.scale)
     if simple:
-        loops = src == dst
-        src, dst = src[~loops], dst[~loops]
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        uniq = np.unique(lo * n + hi)
-        src, dst = uniq // n, uniq % n
+        src, dst = simple_edges(src, dst, n)
     return Graph.from_edges(src, dst, num_vertices=int(n))

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..kernels import combine_keys
+
 __all__ = ["Graph", "coalesce_edges"]
 
 
@@ -34,6 +36,10 @@ def coalesce_edges(
 
     Input arrays describe *directed* entries; the caller is responsible for
     symmetry.  Returns sorted, deduplicated ``(src, dst, weight)`` arrays.
+    Rows are ordered by one stable sort of the ``src * (max(dst) + 1) + dst``
+    key, so duplicates keep their arrival order and their weights fold left
+    to right; ids whose key would overflow int64 raise
+    :class:`~repro.kernels.IndexWidthError`.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -42,7 +48,8 @@ def coalesce_edges(
         raise ValueError("src, dst and weight must have identical shapes")
     if src.size == 0:
         return src, dst, weight
-    order = np.lexsort((dst, src))
+    keys = combine_keys(src, dst, int(dst.max()) + 1, what="edge coalesce key")
+    order = np.argsort(keys, kind="stable")
     src, dst, weight = src[order], dst[order], weight[order]
     new_group = np.empty(src.size, dtype=bool)
     new_group[0] = True

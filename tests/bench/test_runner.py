@@ -8,6 +8,7 @@ from repro.bench import (
     BenchConfigError,
     RUN_TABLE_COLUMNS,
     build_summary,
+    format_bench_report,
     parse_config,
     run_matrix,
     write_run_table,
@@ -204,6 +205,26 @@ class TestBenchSummary:
         assert "modeled_s" not in cell["metrics"]
         assert "wall_s" in cell["metrics"]
         assert cell["phases"]
+
+    def test_graph_build_seconds_recorded_once(self, tiny_result):
+        # Both cells share graph "g": it is built once, and its build time is
+        # reported on its own, outside the cells' wall times.
+        graphs = build_summary(tiny_result)["graphs"]
+        assert len(graphs) == 1
+        assert graphs[0]["graph"] == "g"
+        assert graphs[0]["spec"] == GRAPH
+        assert graphs[0]["build_s"] > 0.0
+
+    def test_report_prints_graph_setup(self, tiny_result):
+        report = format_bench_report(build_summary(tiny_result))
+        setup = report.split("## graph set-up", 1)[1]
+        assert "| g " in setup and "| lfr " in setup
+
+    def test_report_without_graph_section(self, tiny_result):
+        # Summaries written before build times were recorded still render.
+        summary = build_summary(tiny_result)
+        del summary["graphs"]
+        assert "graph set-up" not in format_bench_report(summary)
 
     def test_write_summary_json(self, tiny_result, tmp_path):
         import json

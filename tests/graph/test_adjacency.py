@@ -5,7 +5,33 @@ import io
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.graph import Graph, coalesce_edges
+from repro.kernels import IndexWidthError
+
+
+def reference_coalesce(src, dst, weight):
+    """The original lexsort-based ``coalesce_edges``, kept as the oracle."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    weight = np.asarray(weight, dtype=np.float64)
+    if src.size == 0:
+        return src, dst, weight
+    order = np.lexsort((dst, src))
+    src, dst, weight = src[order], dst[order], weight[order]
+    new_group = np.empty(src.size, dtype=bool)
+    new_group[0] = True
+    np.not_equal(src[1:], src[:-1], out=new_group[1:])
+    np.logical_or(new_group[1:], dst[1:] != dst[:-1], out=new_group[1:])
+    group_id = np.cumsum(new_group) - 1
+    n_groups = int(group_id[-1]) + 1
+    w_out = np.zeros(n_groups, dtype=np.float64)
+    np.add.at(w_out, group_id, weight)
+    keep = np.flatnonzero(new_group)
+    return src[keep], dst[keep], w_out
+
 
 
 class TestCoalesceEdges:
@@ -31,6 +57,44 @@ class TestCoalesceEdges:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             coalesce_edges(np.array([1]), np.array([1, 2]), np.array([1.0]))
+
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_bitwise(self, n, k, seed):
+        # Many duplicate pairs whose weights span 16 decades: any change in
+        # fold order changes the sums in their last bits.
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, n, size=k)
+        dst = rng.integers(0, n, size=k)
+        w = rng.random(k) * 10.0 ** rng.integers(-8, 8, size=k)
+        got = coalesce_edges(src, dst, w)
+        want = reference_coalesce(src, dst, w)
+        for have, ref in zip(got, want):
+            assert have.dtype == ref.dtype
+            assert have.tobytes() == ref.tobytes()
+
+    def test_fold_order_is_arrival_order(self):
+        # (1e16 + 1) + 1 != 1e16 + (1 + 1) in float64: the sum must fold
+        # left to right in input order.
+        w = np.array([1e16, 1.0, 1.0])
+        _, _, got = coalesce_edges(np.zeros(3), np.ones(3), w)
+        assert got.tobytes() == np.array([(1e16 + 1.0) + 1.0]).tobytes()
+        _, _, rev = coalesce_edges(np.zeros(3), np.ones(3), w[::-1])
+        assert rev.tobytes() == np.array([(1.0 + 1.0) + 1e16]).tobytes()
+
+    def test_key_overflow_raises(self):
+        with pytest.raises(IndexWidthError, match="overflows int64"):
+            coalesce_edges(
+                np.array([2**62, 0]), np.array([0, 5]), np.array([1.0, 1.0])
+            )
+
+    def test_negative_ids_raise(self):
+        with pytest.raises(IndexWidthError, match="negative"):
+            coalesce_edges(np.array([-1, 2]), np.array([0, 1]), np.array([1.0, 1.0]))
 
 
 class TestConstruction:
