@@ -20,36 +20,40 @@ Public API highlights
   and the opt-in runtime invariant sanitizer.
 * :mod:`repro.service` -- long-lived detection service (job queue, worker
   pool, versioned snapshot store, ``repro serve`` HTTP API).
+
+``import repro`` loads none of these: each subpackage, and each name
+re-exported here, loads on first access.
 """
 
-from . import (
-    analysis,
-    generators,
-    graph,
-    harness,
-    hashing,
-    metrics,
-    observability,
-    parallel,
-    runtime,
-    sequential,
-    service,
-)
-from .analysis import InvariantViolation, Sanitizer
-from .graph import Graph
-from .metrics import modularity
-from .observability import TraceEvent, Tracer
-from .parallel import (
-    DetectionSummary,
-    ExponentialSchedule,
-    ParallelLouvainConfig,
-    detect_communities,
-    naive_parallel_louvain,
-    parallel_louvain,
-)
-from .runtime import BGQ, P7IH, MachineModel
-from .sequential import louvain as sequential_louvain
-from .service import DetectionService
+import importlib
+
+#: Subpackages reachable as attributes; each loads on first access, so
+#: ``import repro`` costs only what the caller touches.
+_SUBPACKAGES = frozenset({
+    "analysis", "generators", "graph", "harness", "hashing", "metrics",
+    "observability", "parallel", "runtime", "sequential", "service",
+})
+
+#: Re-exported name -> (subpackage, name there).
+_EXPORTS = {
+    "InvariantViolation": ("analysis", "InvariantViolation"),
+    "Sanitizer": ("analysis", "Sanitizer"),
+    "Graph": ("graph", "Graph"),
+    "modularity": ("metrics", "modularity"),
+    "TraceEvent": ("observability", "TraceEvent"),
+    "Tracer": ("observability", "Tracer"),
+    "DetectionSummary": ("parallel", "DetectionSummary"),
+    "ExponentialSchedule": ("parallel", "ExponentialSchedule"),
+    "ParallelLouvainConfig": ("parallel", "ParallelLouvainConfig"),
+    "detect_communities": ("parallel", "detect_communities"),
+    "naive_parallel_louvain": ("parallel", "naive_parallel_louvain"),
+    "parallel_louvain": ("parallel", "parallel_louvain"),
+    "BGQ": ("runtime", "BGQ"),
+    "P7IH": ("runtime", "P7IH"),
+    "MachineModel": ("runtime", "MachineModel"),
+    "sequential_louvain": ("sequential", "louvain"),
+    "DetectionService": ("service", "DetectionService"),
+}
 
 __version__ = "1.0.0"
 
@@ -84,3 +88,20 @@ __all__ = [
     "service",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Load a subpackage or re-exported name on first access (PEP 562)."""
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        package, attr = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{package}"), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -17,25 +17,13 @@ Two prongs guard the SPMD discipline the paper's algorithm depends on:
   per-superstep rank participation.  Enable with ``REPRO_SANITIZE=1`` or
   ``detect_communities(..., sanitize=True)``; violations raise
   :class:`InvariantViolation` with the offending rank/level/iteration.
+
+Only the sanitizer loads with the package, because the runtime path calls
+it; the linter names load on first access.
 """
 
-from . import checkers  # noqa: F401  (imports register the built-in checkers)
-from . import locks  # noqa: F401  (imports register the concurrency checkers)
-from .findings import Finding, findings_to_json, findings_to_sarif, format_findings
-from .linter import (
-    CHECKERS,
-    CheckerBase,
-    Suppression,
-    apply_baseline,
-    available_profiles,
-    check_file,
-    get_checkers,
-    iter_python_files,
-    list_suppressions,
-    load_baseline,
-    register_checker,
-    run_checks,
-)
+import importlib
+
 from .sanitizer import (
     NULL_SANITIZER,
     InvariantViolation,
@@ -44,6 +32,31 @@ from .sanitizer import (
     resolve_sanitizer,
     sanitize_enabled,
 )
+
+#: Linter name -> the submodule defining it (a submodule maps to itself).
+#: These load on first access; the runtime path needs only the sanitizer.
+_LINTER_NAMES = {
+    "checkers": "checkers",
+    "findings": "findings",
+    "linter": "linter",
+    "locks": "locks",
+    "Finding": "findings",
+    "format_findings": "findings",
+    "findings_to_json": "findings",
+    "findings_to_sarif": "findings",
+    "CHECKERS": "linter",
+    "CheckerBase": "linter",
+    "Suppression": "linter",
+    "apply_baseline": "linter",
+    "available_profiles": "linter",
+    "check_file": "linter",
+    "get_checkers": "linter",
+    "iter_python_files": "linter",
+    "list_suppressions": "linter",
+    "load_baseline": "linter",
+    "register_checker": "linter",
+    "run_checks": "linter",
+}
 
 __all__ = [
     "Finding",
@@ -69,3 +82,26 @@ __all__ = [
     "sanitize_enabled",
     "resolve_sanitizer",
 ]
+
+
+def __getattr__(name: str):
+    """Load a linter submodule or name on first access (PEP 562).
+
+    The built-in checkers register on import, so they are loaded first:
+    whichever linter name a caller reaches, :data:`CHECKERS` is complete.
+    """
+    try:
+        module = _LINTER_NAMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    importlib.import_module(f"{__name__}.checkers")
+    importlib.import_module(f"{__name__}.locks")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+        globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_LINTER_NAMES))

@@ -8,7 +8,9 @@ classes registered with :func:`register_checker`; each declares a ``name``
 
 The built-in checkers (:mod:`repro.analysis.checkers`) encode the SPMD
 discipline the simulated runtime relies on -- see DESIGN.md "Correctness
-tooling" for the invariant catalogue and their paper provenance.
+tooling" for the invariant catalogue and their paper provenance.  They
+register when their modules import, which :func:`get_checkers` (so every
+run) and any linter name reached through :mod:`repro.analysis` do first.
 """
 
 from __future__ import annotations
@@ -98,6 +100,10 @@ def get_checkers(
     ``select`` (explicit checker names) wins over ``profile``; with neither,
     every registered checker runs.  ``profile="all"`` is the union.
     """
+    # The built-ins register on import; load them however this module was
+    # reached, so a run never sees an empty registry.
+    from . import checkers, locks  # noqa: F401
+
     if select is not None:
         unknown = [n for n in select if n not in CHECKERS]
         if unknown:

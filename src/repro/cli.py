@@ -935,10 +935,12 @@ def _cmd_serve(args) -> int:
             f"{graph.num_edges} edges) as {job.job_id}"
         )
     server = ServiceServer(
-        service, host=args.host, port=args.port, verbose=args.verbose
+        service, host=args.host, port=args.port, verbose=args.verbose,
+        started=args.started,
     )
     print(f"serving on {server.address} ({args.workers} workers, "
-          f"queue capacity {args.queue_capacity})")
+          f"queue capacity {args.queue_capacity}; "
+          f"booted in {server.boot_seconds:.3f} s)")
     if sink is not None:
         print(f"tracing to {sink.current_segment} "
               f"(rotating, {args.trace_segments} x {args.trace_segment_bytes} bytes)")
@@ -1234,8 +1236,15 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, *, started: float | None = None) -> int:
+    """Run one subcommand.
+
+    ``started`` is a ``time.perf_counter()`` reading at process entry
+    (``python -m repro`` passes one; the default is now); ``repro serve``
+    times its boot from it.
+    """
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter() if started is None else started
     handlers = {
         "detect": _cmd_detect,
         "generate": _cmd_generate,

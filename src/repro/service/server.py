@@ -28,7 +28,8 @@ GET      ``/membership``          community assignment; ``?vertex=`` for one
 GET      ``/versions``            retained snapshot metadata
 GET      ``/diff?from=A&to=B``    community churn between two versions
 GET      ``/healthz``             liveness + queue/worker/store gauges
-GET      ``/metrics``             Prometheus text (job counters + gauges +
+GET      ``/metrics``             Prometheus text (job counters + gauges,
+                                  ``service_boot_seconds`` +
                                   per-endpoint request-duration histograms)
 POST     ``/shutdown``            drain and stop the server
 =======  =======================  ==========================================
@@ -56,7 +57,11 @@ from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
-from ..observability.exporters import LatencyHistogram, prometheus_histograms
+from ..observability.exporters import (
+    LatencyHistogram,
+    prometheus_gauges,
+    prometheus_histograms,
+)
 from .jobs import QueueClosedError, QueueFullError
 from .workers import DetectionService
 
@@ -365,7 +370,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif route == "/metrics":
             self._send(
                 200,
-                self.service.metrics_text() + self.server.request_metrics_text(),
+                self.service.metrics_text() + self.server.metrics_text(),
             )
         elif route == "/versions":
             self._send(200, {"versions": self.service.store.versions()})
@@ -475,6 +480,10 @@ class ServiceServer(ThreadingHTTPServer):
     ``port=0`` binds an ephemeral port (tests); :attr:`address` reports the
     actual one.  :meth:`serve_background` runs the accept loop in a daemon
     thread; :meth:`stop` shuts the loop down and closes the service.
+
+    :attr:`boot_seconds` is the time from ``started`` (a
+    ``time.perf_counter()`` reading; ``python -m repro`` passes its entry
+    time, the default is this constructor's entry) to the listening socket.
     """
 
     daemon_threads = True
@@ -486,7 +495,10 @@ class ServiceServer(ThreadingHTTPServer):
         port: int = 8737,
         *,
         verbose: bool = False,
+        started: float | None = None,
     ) -> None:
+        if started is None:
+            started = time.perf_counter()
         self.service = service
         self.verbose = verbose
         self._stopped = threading.Event()
@@ -494,6 +506,7 @@ class ServiceServer(ThreadingHTTPServer):
         self._request_stats: dict[str, LatencyHistogram] = {}
         self._request_stats_lock = threading.Lock()
         super().__init__((host, port), _Handler)
+        self.boot_seconds = time.perf_counter() - started
 
     def observe_request(self, method: str, endpoint: str, seconds: float) -> None:
         """Record one request's duration into the per-endpoint histograms."""
@@ -504,11 +517,18 @@ class ServiceServer(ThreadingHTTPServer):
                 hist = self._request_stats.setdefault(key, LatencyHistogram())
         hist.observe(seconds)
 
-    def request_metrics_text(self) -> str:
-        """Prometheus text for the request-duration histograms."""
+    def metrics_text(self) -> str:
+        """Prometheus text: the boot gauge and the request-duration histograms."""
         with self._request_stats_lock:
             stats = dict(self._request_stats)
-        return prometheus_histograms(
+        boot = prometheus_gauges(
+            {"service_boot_seconds": self.boot_seconds},
+            help_text={
+                "service_boot_seconds": "Seconds from process entry to the "
+                "listening socket",
+            },
+        )
+        return boot + prometheus_histograms(
             stats,
             name="service_request_duration_seconds",
             label="endpoint",
@@ -532,6 +552,9 @@ class ServiceServer(ThreadingHTTPServer):
         if self._stopped.is_set():
             return
         self._stopped.set()
+        # Before the listener closes: a client that sees the port die must
+        # not still read "ok" from health().
+        self.service.mark_shutting_down()
         self.shutdown()
         self.server_close()
         self.service.close()

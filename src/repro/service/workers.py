@@ -331,6 +331,7 @@ class DetectionService:
             monitor_interval=monitor_interval,
         )
         self.pool.start()
+        self._shutting_down = False
         self._closed = False
 
     # -------------------------------------------------------------- #
@@ -530,7 +531,7 @@ class DetectionService:
     def health(self) -> dict[str, Any]:
         latest = self.store.latest_version()
         return {
-            "status": "ok" if not self._closed else "shutting_down",
+            "status": "shutting_down" if self._shutting_down else "ok",
             "uptime_seconds": time.time() - self._started_at,
             "workers": self.pool.num_workers,
             "queue_pending": self.queue.pending_count,
@@ -564,9 +565,18 @@ class DetectionService:
     # Shutdown
     # -------------------------------------------------------------- #
 
+    def mark_shutting_down(self) -> None:
+        """Report ``shutting_down`` from now on; :meth:`close` follows.
+
+        A server calls this before it stops listening, so no client sees
+        the port die while :meth:`health` still reports ``ok``.
+        """
+        self._shutting_down = True
+
     def close(self, timeout: float = 10.0) -> None:
         if self._closed:
             return
+        self._shutting_down = True
         self._closed = True
         self.pool.stop(timeout=timeout)
         self.tracer.close()

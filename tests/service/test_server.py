@@ -2,7 +2,12 @@
 
 import http.client
 import json
+import os
+import pathlib
+import re
 import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -289,6 +294,50 @@ class TestBackpressureAndLiveness:
             time.sleep(0.05)
         assert svc.health()["status"] == "shutting_down"
         srv.stop()  # idempotent
+
+    def test_health_reports_shutting_down_before_listener_closes(self):
+        svc = DetectionService(num_workers=1)
+        srv = ServiceServer(svc, port=0)
+        srv.serve_background()
+        seen = []
+        close_listener = srv.server_close
+
+        def recording_close():
+            seen.append(svc.health()["status"])
+            close_listener()
+
+        srv.server_close = recording_close
+        srv.stop()
+        assert seen == ["shutting_down"]
+
+
+def test_boot_seconds_scraped_from_metrics_matches_banner():
+    """``python -m repro serve`` times its boot from interpreter entry."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--no-trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        banner = proc.stdout.readline()
+        wall = time.perf_counter() - t0
+        found = re.match(r"serving on (\S+) .*booted in ([\d.]+) s\)$", banner)
+        assert found, banner
+        base, printed = found.group(1), float(found.group(2))
+        _, metrics, _ = _request(base, "GET", "/metrics")
+        gauge = re.search(r"^repro_service_boot_seconds (\S+)$", metrics, re.M)
+        assert gauge, metrics
+        assert float(gauge.group(1)) == pytest.approx(printed, abs=5e-4)
+        assert 0 < printed < wall
+        assert _request(base, "POST", "/shutdown")[0] == 202
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_submissions_after_close_get_503(edges):
