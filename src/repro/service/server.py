@@ -50,6 +50,7 @@ anything is allocated.  All of these count in
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -225,8 +226,12 @@ def _job_options(doc: dict) -> dict:
         opts["priority"] = _number(doc, "priority")
     if "timeout_s" in doc:
         opts["timeout"] = _number(doc, "timeout_s", float)
+        if not 0 < opts["timeout"] < math.inf:
+            raise _BadRequest("timeout_s must be a positive finite number")
     if "max_retries" in doc:
         opts["max_retries"] = _number(doc, "max_retries")
+        if opts["max_retries"] < 0:
+            raise _BadRequest("max_retries must be non-negative")
     return opts
 
 

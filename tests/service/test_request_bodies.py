@@ -61,6 +61,11 @@ def server():
     ("/graph", {"edges": 5}),
     ("/graph", {"edges": [[0, 1]], "priority": "high"}),
     ("/edges", {"add": [[0, 1]], "base_version": [1]}),
+    ("/graph", {"edges": [], "timeout_s": False}),
+    ("/graph", {"edges": [[0, 1]], "timeout_s": -1.5}),
+    ("/edges", {"add": [[0, 1]], "timeout_s": float("nan")}),
+    ("/edges", {"add": [[0, 1]], "timeout_s": float("inf")}),
+    ("/graph", {"edges": [[0, 1]], "max_retries": -1}),
     ("/graph", b"\x80 not utf-8"),
 ])
 def test_malformed_bodies_answer_400(server, path, body):
